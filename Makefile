@@ -14,12 +14,6 @@ BENCH_SCALE ?= 1
 # headline numbers are parallel; set 0 for the sequential reference).
 BENCH_WORKERS ?= 8
 
-# Load-generator knobs for the "server" section of the bench JSON
-# (xtalkload against a self-hosted daemon; see cmd/xtalkload).
-LOAD_CELLS ?= 300
-LOAD_DURATION ?= 3s
-LOAD_CONCURRENCY ?= 8
-
 # Baseline the bench gate compares against, and the allowed per-mode
 # delay drift in percent. Delays are deterministic functions of the
 # design, so the tolerance only absorbs FP-level churn from intentional
@@ -32,7 +26,7 @@ BENCH_TOL ?= 0.5
 # layout, so the tolerance only absorbs GC/runtime timing variance.
 BENCH_MEM_TOL ?= 25
 
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint bench bench-json bench-gate bench-ablation bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench bench-json bench-gate bench-ablation bench-100k clean
 
 all: check
 
@@ -41,7 +35,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint bench-gate bench-ablation bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench-gate bench-ablation bench-100k
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -67,13 +61,12 @@ test:
 # Race-detector pass over the packages with worker concurrency and the
 # shared telemetry instruments, plus a dedicated high-worker run of the
 # scheduler parity/abort tests and the concurrent-session contract
-# tests (mixed Analyze/Reanalyze/Edit goroutines on one Design, and
-# the parallel mode/corner sweeps, all bit-compared against serial
-# references — DESIGN.md §11).
+# test (mixed Analyze/Reanalyze/Edit goroutines on one Design,
+# bit-compared against serial references — DESIGN.md §11).
 race:
 	$(GO) test -race ./internal/core/ ./internal/delaycalc/ ./internal/obs/ ./internal/incremental/
 	$(GO) test -race -run 'SchedulerParity|Dataflow' -count=1 ./internal/core/
-	$(GO) test -race -run 'Concurrent|Parallel' -count=1 .
+	$(GO) test -race -run 'Concurrent' -count=1 .
 
 # Race-detector pass over the serving layer: the daemon's handler,
 # admission-control and coalescing tests (8-worker mixed read/edit
@@ -90,26 +83,27 @@ metrics-lint:
 	$(GO) test -run 'TestMetricNameDrift|TestRegisterAllCoversVocabulary' -count=1 . ./internal/obs/
 	$(GO) vet ./...
 
+# The benchmark under perfbench/ is a nested module, so the root
+# `go build ./...` never compiles it: vet and test it on its own so an
+# API change that breaks the benchmark fails here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Machine-readable five-mode benchmark table (same schema as
-# BENCH_pr1.json plus the env block, regenerated per PR). -sweep-bench
-# adds the serial-vs-concurrent AnalyzeAll wall-clock comparison
-# (DESIGN.md §11) as the optional "sweep" block.
+# BENCH_pr1.json plus the env block, regenerated per PR). Wall-time
+# spreads and per-layer numbers come from perfbench (BENCHMARK.json).
 bench-json:
-	$(GO) run ./cmd/xtalksta -preset s35932 -scale $(BENCH_SCALE) -workers $(BENCH_WORKERS) -sweep-bench -json $(BENCH_OUT)
-	$(GO) run ./cmd/xtalkload -cells $(LOAD_CELLS) -duration $(LOAD_DURATION) -concurrency $(LOAD_CONCURRENCY) -merge $(BENCH_OUT)
+	$(GO) run ./cmd/xtalksta -preset s35932 -scale $(BENCH_SCALE) -workers $(BENCH_WORKERS) -json $(BENCH_OUT)
 
 # Regression gate: run the small preset and compare each mode's delay
-# against the checked-in baseline. Fails on drift beyond $(BENCH_TOL)%.
-# The candidate also carries the analysis-latency and daemon "server"
-# sections (a short xtalkload run), which benchdiff reports warn-only —
-# latency drift on shared CI hardware never fails the gate, delay drift
-# always does.
+# against the checked-in baseline. Fails on drift beyond $(BENCH_TOL)%
+# and on peak-memory growth beyond $(BENCH_MEM_TOL)%; arc-evaluation
+# counts and compile time are reported warn-only.
 bench-gate:
 	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.02 -json BENCH_gate.json >/dev/null
-	$(GO) run ./cmd/xtalkload -cells $(LOAD_CELLS) -duration 2s -concurrency 4 -merge BENCH_gate.json
 	$(GO) run ./cmd/benchdiff -base $(BENCH_BASELINE) -new BENCH_gate.json -tol $(BENCH_TOL) -mem-tol $(BENCH_MEM_TOL)
 
 # Capacity leg: the 100k-cell synthetic preset must compile and finish

@@ -527,22 +527,13 @@ func (d *Design) Analyze(opts AnalysisOptions) (*AnalysisResult, error) {
 	return res, nil
 }
 
-// AnalyzeAll runs all five analyses and returns them in table order.
-// The characterization cache is cleared before each mode so the
-// reported runtimes are standalone, as in the paper's tables; set
-// AnalysisOptions.KeepCache (AnalyzeAllOpts) to measure warm-cache
-// behavior instead.
-func (d *Design) AnalyzeAll() ([]*AnalysisResult, error) {
-	return d.AnalyzeAllOpts(AnalysisOptions{})
-}
-
-// AnalyzeAllOpts is AnalyzeAll with shared per-mode options: the
-// Mode field is overridden per run, everything else (Workers, Metrics,
-// Trace, Observer, ...) is passed through. Unless base.KeepCache is
-// set, the characterization cache is cleared before each mode (the
-// paper-table default: every mode's runtime includes its own
-// characterization cost).
-func (d *Design) AnalyzeAllOpts(base AnalysisOptions) ([]*AnalysisResult, error) {
+// AnalyzeAll runs all five analyses serially over one compiled
+// snapshot and returns them in table order. base is shared by every
+// mode (its Mode field is overridden per run). Unless base.KeepCache is
+// set, the characterization cache is cleared before each mode so every
+// runtime includes its own characterization cost, as in the paper's
+// tables.
+func (d *Design) AnalyzeAll(base AnalysisOptions) ([]*AnalysisResult, error) {
 	var out []*AnalysisResult
 	for _, m := range Modes() {
 		if !base.KeepCache {
@@ -555,44 +546,6 @@ func (d *Design) AnalyzeAllOpts(base AnalysisOptions) ([]*AnalysisResult, error)
 			return nil, fmt.Errorf("xtalksta: %s: %w", m, err)
 		}
 		out = append(out, res)
-	}
-	return out, nil
-}
-
-// AnalyzeAllParallel runs all five analyses concurrently, one session
-// per mode over the shared compiled snapshot, and returns them in table
-// order. Delays are Float64bits-identical to the serial AnalyzeAll; the
-// per-result work counters (ArcEvaluations, Simulations) differ because
-// the modes share one warm characterization cache — KeepCache is
-// implied, as the shared cache cannot be cleared mid-flight. The
-// Observer option is dropped (its contract is single-goroutine); use a
-// MetricsRegistry for progress instead.
-func (d *Design) AnalyzeAllParallel(base AnalysisOptions) ([]*AnalysisResult, error) {
-	base.Observer = nil
-	base.KeepCache = true
-	modes := Modes()
-	out := make([]*AnalysisResult, len(modes))
-	errs := make([]error, len(modes))
-	var wg sync.WaitGroup
-	for i, m := range modes {
-		wg.Add(1)
-		go func(i int, m Mode) {
-			defer wg.Done()
-			opts := base
-			opts.Mode = m
-			res, err := d.Analyze(opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("xtalksta: %s: %w", m, err)
-				return
-			}
-			out[i] = res
-		}(i, m)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
@@ -785,39 +738,6 @@ func (d *Design) AnalyzeCorners(opts AnalysisOptions) ([]CornerResult, error) {
 	return out, nil
 }
 
-// AnalyzeCornersParallel runs the corner sweep concurrently, one
-// session per corner, each over its own memoized corner snapshot.
-// Results are Float64bits-identical to the serial AnalyzeCorners (the
-// corners share nothing but the circuit snapshot inputs); the Observer
-// option is dropped, as in AnalyzeAllParallel.
-func (d *Design) AnalyzeCornersParallel(opts AnalysisOptions) ([]CornerResult, error) {
-	opts.DisableReplay = true
-	opts.Observer = nil
-	corners := device.Corners()
-	out := make([]CornerResult, len(corners))
-	errs := make([]error, len(corners))
-	var wg sync.WaitGroup
-	for i, corner := range corners {
-		wg.Add(1)
-		go func(i int, corner Corner) {
-			defer wg.Done()
-			res, err := d.analyzeCorner(corner, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("xtalksta: corner %s: %w", corner, err)
-				return
-			}
-			out[i] = CornerResult{Corner: corner, Result: res}
-		}(i, corner)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // SizingResult reports a timing-driven gate-sizing run.
 type SizingResult = opt.Result
 
@@ -855,40 +775,15 @@ func (d *Design) GoldenPath(path []PathStep, cfg GoldenConfig) (*GoldenOutcome, 
 	return pathsim.Simulate(d.circuit(), d.Lib, d.Sizing, path, cfg)
 }
 
-// PaperTable runs the full table experiment: all five analyses plus,
-// when withGolden is set, the golden simulation of the iterative
-// analysis's longest path.
-func (d *Design) PaperTable(title string, withGolden bool) (*Table, error) {
-	return d.PaperTableOpts(title, withGolden, AnalysisOptions{})
-}
-
-// PaperTableOpts is PaperTable with shared per-mode analysis options
-// (Mode is overridden per run); the golden simulation reuses the
-// options' Metrics and Trace.
-func (d *Design) PaperTableOpts(title string, withGolden bool, base AnalysisOptions) (*Table, error) {
-	results, err := d.AnalyzeAllOpts(base)
+// PaperTable runs the full table experiment: the five analyses of
+// AnalyzeAll(base) plus, when withGolden is set, the golden simulation
+// of the iterative analysis's longest path (reusing base's Metrics and
+// Trace).
+func (d *Design) PaperTable(title string, withGolden bool, base AnalysisOptions) (*Table, error) {
+	results, err := d.AnalyzeAll(base)
 	if err != nil {
 		return nil, err
 	}
-	return d.buildTable(title, withGolden, base, results)
-}
-
-// PaperTableParallel is PaperTableOpts with the five analyses fanned
-// out concurrently, one session per mode over the shared compiled
-// snapshot (AnalyzeAllParallel semantics: delays bit-identical to the
-// serial table, KeepCache implied, Observer dropped). The per-row
-// runtimes overlap on the wall clock and share one warm
-// characterization cache, so they are not comparable to the paper's
-// standalone per-mode runtimes.
-func (d *Design) PaperTableParallel(title string, withGolden bool, base AnalysisOptions) (*Table, error) {
-	results, err := d.AnalyzeAllParallel(base)
-	if err != nil {
-		return nil, err
-	}
-	return d.buildTable(title, withGolden, base, results)
-}
-
-func (d *Design) buildTable(title string, withGolden bool, base AnalysisOptions, results []*AnalysisResult) (*Table, error) {
 	t := &Table{Title: title}
 	var iterRes *AnalysisResult
 	for _, r := range results {
@@ -899,7 +794,7 @@ func (d *Design) buildTable(title string, withGolden bool, base AnalysisOptions,
 			Passes:      r.Passes,
 			Evaluations: r.ArcEvaluations,
 			Tier0Evals:  r.Tier0Hits,
-			NewtonEvals: r.ArcEvaluations,
+			Simulations: r.Simulations,
 		})
 		if r.Mode == Iterative {
 			iterRes = r

@@ -14,7 +14,7 @@ func TestFromBenchS27AllModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := d.AnalyzeAll()
+	results, err := d.AnalyzeAll(AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestGeneratePresetTableAndShape(t *testing.T) {
 	if st.Cells < 200 {
 		t.Fatalf("scaled preset too small: %d cells", st.Cells)
 	}
-	table, err := d.PaperTable("Table 1 (scaled): s35932-like", true)
+	table, err := d.PaperTable("Table 1 (scaled): s35932-like", true, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +74,34 @@ func TestDeepPresetShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := d.PaperTable("s38584-like scaled", false)
+	table, err := d.PaperTable("s38584-like scaled", false, AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := table.CheckShape(0.05); len(v) > 0 {
 		t.Errorf("paper shape violated on deep circuit: %v", v)
+	}
+}
+
+// TestPaperTableWarmSimulations: a warm-cache sweep's Iterative row
+// reuses characterizations from the modes before it, so it runs fewer
+// stage simulations than it makes arc evaluations.
+func TestPaperTableWarmSimulations(t *testing.T) {
+	d, err := Generate(circuitgen.Params{Seed: 9, Cells: 150, DFFs: 12, Depth: 7, ClockFanout: 4}, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := d.PaperTable("warm", false, AnalysisOptions{KeepCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := table.Rows[len(table.Rows)-1]
+	if iter.Method != Iterative.String() {
+		t.Fatalf("last row is %q, want %q", iter.Method, Iterative.String())
+	}
+	if iter.Simulations <= 0 || iter.Simulations >= iter.Evaluations {
+		t.Errorf("warm Iterative row: %d simulations for %d arc evaluations, want 0 < simulations < evaluations",
+			iter.Simulations, iter.Evaluations)
 	}
 }
 

@@ -18,12 +18,6 @@
 // a mismatch refuses the comparison: drift across scales is
 // meaningless.
 //
-// The optional "latency" (analysis percentiles from `xtalksta -json`)
-// and "server" (daemon percentiles/throughput from `xtalkload -merge`)
-// sections diff warn-only: rows moving beyond -lat-tol are marked WARN
-// in the report but never fail the build — wall-clock numbers from a
-// shared CI box are for explaining drift, not gating it.
-//
 // With -metrics the inputs are metrics-registry dumps (`xtalksta
 // -metrics`, Registry.WriteJSON) instead: the report lists every
 // counter, gauge and histogram sample-count whose value moved between
@@ -72,12 +66,8 @@ type benchFile struct {
 		Passes      int     `json:"passes"`
 		Evaluations int64   `json:"arc_evaluations"`
 		Tier0Evals  int64   `json:"tier0_evals"`
-		NewtonEvals int64   `json:"newton_evals"`
+		Simulations int64   `json:"simulations"`
 	} `json:"rows"`
-	// Latency and Server are flat numeric sections (absent in older
-	// files). They diff warn-only: wall-clock figures, never gated.
-	Latency map[string]float64 `json:"latency"`
-	Server  map[string]float64 `json:"server"`
 }
 
 // envString renders one file's recorded environment for the header.
@@ -228,7 +218,7 @@ func diffSection(kind string, base, cand map[string]float64) int {
 // diffWarnOnly compares one flat numeric section between the files and
 // prints rows whose relative drift exceeds tol percent with a WARN
 // mark. It returns the number of warned rows but never fails the run:
-// latency and throughput on shared hardware are informational.
+// work counts and wall clock on shared hardware are informational.
 func diffWarnOnly(section string, base, cand map[string]float64, tol float64) int {
 	switch {
 	case len(base) == 0 && len(cand) == 0:
@@ -276,7 +266,7 @@ func main() {
 	newPath := flag.String("new", "", "candidate bench JSON")
 	tol := flag.Float64("tol", 0.5, "allowed per-mode delay drift in percent")
 	memTol := flag.Float64("mem-tol", 25, "allowed max_rss_bytes growth in percent (hard-fails like delay drift; shrinking never fails)")
-	latTol := flag.Float64("lat-tol", 25, "warn threshold in percent for the latency/server sections (never fails)")
+	latTol := flag.Float64("lat-tol", 25, "warn threshold in percent for the arc-evaluation and compile-time sections (never fails)")
 	metricsMode := flag.Bool("metrics", false, "diff two metrics-registry dumps (xtalksta -metrics) instead of bench results; informational, never fails")
 	flag.Parse()
 	if *basePath == "" || *newPath == "" {
@@ -348,8 +338,6 @@ func main() {
 		candEvals[r.Method] = float64(r.Evaluations)
 	}
 	diffWarnOnly("arc_evaluations", baseEvals, candEvals, *latTol)
-	diffWarnOnly("latency", base.Latency, cand.Latency, *latTol)
-	diffWarnOnly("server", base.Server, cand.Server, *latTol)
 
 	// Peak-memory gate: growth beyond -mem-tol fails like delay drift
 	// (memory is a deterministic function of the data layout on a given

@@ -65,6 +65,9 @@ func TestLoadRejectsEmpty(t *testing.T) {
 	}
 }
 
+// TestLoadServerAndLatencySections: files recorded before the
+// "latency" and "server" sections were retired (the checked-in
+// baseline carries a latency block) still load, rows intact.
 func TestLoadServerAndLatencySections(t *testing.T) {
 	p := writeTemp(t, "bench.json", `{
 		"circuit": "x",
@@ -76,23 +79,12 @@ func TestLoadServerAndLatencySections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Latency["analysis_p50_ms"] != 10.5 {
-		t.Errorf("latency section: %v", f.Latency)
-	}
-	if f.Server["throughput_rps"] != 9000 || f.Server["requests"] != 43131 {
-		t.Errorf("server section: %v", f.Server)
-	}
-	// Older files without the sections still load with nil maps.
-	old, err := load(writeTemp(t, "old.json", `{"circuit":"x","rows":[{"method":"Best case","delay_ns":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Latency != nil || old.Server != nil {
-		t.Errorf("expected nil sections, got %v / %v", old.Latency, old.Server)
+	if len(f.Rows) != 1 || f.Rows[0].DelayNs != 1.5 {
+		t.Errorf("rows = %+v, want one Iterative row at 1.5 ns", f.Rows)
 	}
 }
 
-// TestDiffWarnOnlyNeverGates: the latency/server diff flags drift but
+// TestDiffWarnOnlyNeverGates: the warn-only diff flags drift but
 // must never produce a failure — only a warn count.
 func TestDiffWarnOnly(t *testing.T) {
 	base := map[string]float64{"p50_ms": 1.0, "p99_ms": 4.0, "rps": 1000}

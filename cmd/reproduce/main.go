@@ -25,16 +25,12 @@ import (
 
 func main() {
 	var (
-		scale     = flag.Float64("scale", 1, "circuit size scale in (0,1]; 1 (the default) = the paper's cell counts (17.9k/23.9k/20.8k cells)")
-		golden    = flag.Bool("golden", true, "run the golden path validation per table")
-		fixedGrid = flag.Bool("fixed-grid", false, "use the legacy fixed 700-step transient grid (ablation)")
-		lteTol    = flag.Float64("lte-tol", 0, "adaptive-timestep truncation-error tolerance in volts (0 = default 1e-3)")
+		scale  = flag.Float64("scale", 1, "circuit size scale in (0,1]; 1 (the default) = the paper's cell counts (17.9k/23.9k/20.8k cells)")
+		golden = flag.Bool("golden", true, "run the golden path validation per table")
+		tier0  = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results)")
 
-		tier0       = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results)")
-		tier0Margin = flag.Float64("tier0-margin", 0.05, "relative criticality margin of the tier-0 gate")
-
-		parallelModes   = flag.Bool("parallel-modes", false, "run each table's five analyses concurrently over one compiled snapshot (delays identical; per-mode runtimes overlap and share a warm cache)")
-		parallelCorners = flag.Bool("parallel-corners", false, "append a process-corner sweep of Table 1's circuit, all corners analyzed concurrently")
+		keepCache = flag.Bool("keep-cache", false, "keep the characterization cache warm across each table's five analyses instead of clearing it before each (delays identical; runtimes are no longer standalone)")
+		corners   = flag.Bool("corners", false, "append a process-corner sweep of Table 1's circuit")
 
 		serveObs  = flag.String("serve-obs", "", "serve the live introspection plane (/metrics, /debug/pprof/*, /debug/obs/*) on this address while the evaluation runs")
 		eventsOut = flag.String("events", "", "append structured JSONL analysis/pass events to this file")
@@ -68,11 +64,9 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "introspection plane listening on http://%s\n", srv.Addr())
 	}
-	aopts := xtalksta.AnalysisOptions{Metrics: reg, Events: events, Tier0: *tier0, Tier0Margin: *tier0Margin}
+	aopts := xtalksta.AnalysisOptions{Metrics: reg, Events: events, Tier0: *tier0, KeepCache: *keepCache}
 
 	bopts := xtalksta.Defaults()
-	bopts.Calc.FixedGrid = *fixedGrid
-	bopts.Calc.LTETol = *lteTol
 	bopts.Layout.Metrics = reg
 	bopts.Calc.Metrics = reg
 
@@ -95,11 +89,7 @@ func main() {
 		}
 		title := fmt.Sprintf("Table %d: %s-like (%d cells, %d FFs, depth %d; paper: full-size circuit)",
 			i+1, preset, st.Cells, st.DFFs, st.LogicDepth)
-		paperTable := d.PaperTableOpts
-		if *parallelModes {
-			paperTable = d.PaperTableParallel
-		}
-		table, err := paperTable(title, *golden, aopts)
+		table, err := d.PaperTable(title, *golden, aopts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -120,12 +110,12 @@ func main() {
 			fmt.Printf(").\n\n")
 		}
 
-		if i == 0 && *parallelCorners {
-			fmt.Printf("### Process corners: %s-like, iterative mode (concurrent sweep)\n\n", preset)
+		if i == 0 && *corners {
+			fmt.Printf("### Process corners: %s-like, iterative mode\n\n", preset)
 			t0 := time.Now()
 			copts := aopts
 			copts.Mode = xtalksta.Iterative
-			crs, err := d.AnalyzeCornersParallel(copts)
+			crs, err := d.AnalyzeCorners(copts)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -134,7 +124,7 @@ func main() {
 				fmt.Printf("| %s | %.3f | %d | %d |\n",
 					cr.Corner, cr.Result.LongestPath*1e9, cr.Result.Passes, cr.Result.ArcEvaluations)
 			}
-			fmt.Printf("\nSweep wall clock (all corners concurrent): %v.\n\n", time.Since(t0).Round(time.Millisecond))
+			fmt.Printf("\nSweep wall clock: %v.\n\n", time.Since(t0).Round(time.Millisecond))
 		}
 	}
 

@@ -9,8 +9,6 @@
 //
 //	xtalkload -cells 300 -duration 3s -concurrency 8         # self-hosted
 //	xtalkload -addr 127.0.0.1:8080 -design main -duration 5s # against a daemon
-//	xtalkload -cells 300 -merge BENCH_pr8.json               # add the "server"
-//	                                                         # section to a bench JSON
 //
 // Without -addr it spins up an in-process server.Server on a loopback
 // port and hammers it over real HTTP, so the numbers include the full
@@ -45,11 +43,9 @@ func main() {
 	}
 }
 
-// serverBench is the "server" section merged into bench JSONs: the
-// client-observed latency percentiles and throughput of the daemon
-// under concurrent read/edit traffic, plus the server-side counters
-// that explain them. benchdiff treats this section as warn-only —
-// latency on a shared CI box is informational, unlike delays.
+// serverBench is the measurement written by -json: the client-observed
+// latency percentiles and throughput of the daemon under concurrent
+// read/edit traffic, plus the server-side counters that explain them.
 type serverBench struct {
 	DurationS    float64 `json:"duration_s"`
 	Concurrency  int     `json:"concurrency"`
@@ -87,8 +83,7 @@ func run() error {
 		mix          = flag.String("mix", "iterative,best,worst", "comma-separated analysis modes cycled by readers")
 		timeoutMs    = flag.Int("timeout-ms", 3000, "per-request timeout_ms sent to the server")
 
-		jsonPath  = flag.String("json", "", "write the measurement as JSON to this file (- or empty = stdout)")
-		mergePath = flag.String("merge", "", "merge the measurement as the \"server\" section of this bench JSON file")
+		jsonPath = flag.String("json", "", "write the measurement as JSON to this file (- or empty = stdout)")
 	)
 	flag.Parse()
 
@@ -235,29 +230,18 @@ func run() error {
 		"xtalkload: %d shed, %d coalesce hits, %d cache hits, %d edit batches\n",
 		bench.Shed, bench.CoalesceHits, bench.CacheHits, bench.EditBatches)
 
-	if *mergePath != "" {
-		if err := mergeBench(*mergePath, bench); err != nil {
+	out := os.Stdout
+	if *jsonPath != "" && *jsonPath != "-" {
+		f, err := os.Create(*jsonPath)
+		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "xtalkload: merged \"server\" section into %s\n", *mergePath)
+		defer f.Close()
+		out = f
 	}
-	if *mergePath == "" || *jsonPath != "" {
-		out := os.Stdout
-		if *jsonPath != "" && *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(bench); err != nil {
-			return err
-		}
-	}
-	return nil
+	enc := json.NewEncoder(out)
+	enc.SetIndent("", "  ")
+	return enc.Encode(bench)
 }
 
 // selfHost builds a design and serves it from an in-process server on a
@@ -384,27 +368,4 @@ func percentile(sorted []float64, q float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// mergeBench rewrites path with bench as its "server" section,
-// preserving every other top-level key.
-func mergeBench(path string, bench serverBench) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading bench JSON to merge into: %w", err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	b, err := json.Marshal(bench)
-	if err != nil {
-		return err
-	}
-	doc["server"] = b
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

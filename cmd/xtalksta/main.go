@@ -94,18 +94,10 @@ func run() error {
 		ecoEdits  = flag.Int("eco-edits", 4, "edits per random batch for -eco-random")
 		ecoVerify = flag.Bool("eco-verify", false, "cross-check every incremental result against a from-scratch run")
 
-		lteTol      = flag.Float64("lte-tol", 0, "adaptive-timestep truncation-error tolerance in volts (0 = default 1e-3)")
-		cacheShards = flag.Int("cache-shards", 0, "lock stripes of the characterization cache, rounded up to a power of two (0 = default 8)")
-		fixedGrid   = flag.Bool("fixed-grid", false, "use the legacy fixed 700-step transient grid instead of the adaptive kernel")
-
-		parallelModes = flag.Bool("parallel-modes", false, "table mode: run the five analyses concurrently over one compiled snapshot (delays identical; runtimes overlap and share a warm cache)")
-		sweepBench    = flag.Bool("sweep-bench", false, "with -json in table mode: additionally time the five-mode sweep serial (cold cache per mode) vs concurrent (one shared cache) and record both wall-clocks")
-
-		tier0       = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows)")
-		tier0Margin = flag.Float64("tier0-margin", 0.05, "relative criticality margin of the tier-0 gate; arcs within this fraction of the longest-path frontier always evaluate exactly")
+		keepCache = flag.Bool("keep-cache", false, "table mode: keep the characterization cache warm across the five analyses instead of clearing it before each (delays identical; runtimes are no longer standalone)")
+		tier0     = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows)")
 
 		workers     = flag.Int("workers", 0, "worker goroutines per BFS sweep (0/1 = sequential)")
-		sched       = flag.String("sched", "dataflow", "sweep scheduler: dataflow (wavefront) or levels (barrier reference)")
 		metricsPath = flag.String("metrics", "", "write the metrics registry as JSON to this file")
 		tracePath   = flag.String("trace", "", "write a Chrome trace_event profile to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -135,10 +127,10 @@ func run() error {
 	// Telemetry plumbing: one registry and one trace buffer shared by
 	// layout, engine and golden simulation; flushed to disk on the way
 	// out whatever happened in between. The registry also backs the
-	// -serve-obs endpoints, the -v latency summary and the -json
-	// percentile block, so any of those implies one.
+	// -serve-obs endpoints and the -v latency summary, so either implies
+	// one.
 	var reg *xtalksta.MetricsRegistry
-	if *metricsPath != "" || *serveObs != "" || *verbose || *jsonPath != "" {
+	if *metricsPath != "" || *serveObs != "" || *verbose {
 		reg = xtalksta.NewMetricsRegistry()
 	}
 	var chrome *xtalksta.ChromeTrace
@@ -174,11 +166,6 @@ func run() error {
 			}
 		}
 	}()
-
-	scheduler, err := parseSched(*sched)
-	if err != nil {
-		return err
-	}
 
 	// Structured event log (-events): one JSONL record per analysis,
 	// refinement pass and ECO batch.
@@ -230,9 +217,8 @@ func run() error {
 	aopts := xtalksta.AnalysisOptions{
 		Esperance:       *esperance,
 		Workers:         *workers,
-		Scheduler:       scheduler,
 		Tier0:           *tier0,
-		Tier0Margin:     *tier0Margin,
+		KeepCache:       *keepCache,
 		Metrics:         reg,
 		Trace:           tracer,
 		Events:          events,
@@ -247,9 +233,6 @@ func run() error {
 	bopts.Layout.Metrics = reg
 	bopts.Layout.Trace = tracer
 	bopts.Calc.Metrics = reg
-	bopts.Calc.LTETol = *lteTol
-	bopts.Calc.CacheShards = *cacheShards
-	bopts.Calc.FixedGrid = *fixedGrid
 	buildStart := time.Now()
 	d, title, err := buildDesign(*benchPath, *spefPath, *preset, *scale, *cells, *dffs, *depth, *seed, bopts)
 	if err != nil {
@@ -381,29 +364,16 @@ func run() error {
 		return nil
 	}
 
-	paperTable := d.PaperTableOpts
-	if *parallelModes {
-		paperTable = d.PaperTableParallel
-	}
-	table, err := paperTable(title, *golden, aopts)
+	table, err := d.PaperTable(title, *golden, aopts)
 	if err != nil {
 		return err
-	}
-	var sweep *sweepBenchResult
-	if *sweepBench && *jsonPath != "" {
-		sweep, err = runSweepBench(d, aopts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "sweep bench: serial %.0f ms, parallel %.0f ms (%.2fx)\n",
-			sweep.SerialMs, sweep.ParallelMs, sweep.Ratio)
 	}
 	if *jsonPath != "" {
 		jsonScale := 0.0 // 0 = not a preset run; scale is preset-relative
 		if *preset != "" {
 			jsonScale = *scale
 		}
-		if err := writeTableJSON(*jsonPath, title, st, table, *workers, scheduler, jsonScale, compileMs, sweep, reg); err != nil {
+		if err := writeTableJSON(*jsonPath, title, st, table, *workers, jsonScale, compileMs); err != nil {
 			return err
 		}
 	}
@@ -553,42 +523,9 @@ func gitRevision() string {
 	return "unknown"
 }
 
-// sweepBenchResult is the -sweep-bench wall-clock comparison of the
-// five-mode sweep: serial (AnalyzeAll, cache cleared per mode — the
-// paper-table convention) vs concurrent (AnalyzeAllParallel, one
-// session per mode over the shared snapshot and one shared cache).
-type sweepBenchResult struct {
-	SerialMs   float64 `json:"analyzeall_serial_ms"`
-	ParallelMs float64 `json:"analyzeall_parallel_ms"`
-	Ratio      float64 `json:"parallel_over_serial"`
-}
-
-// runSweepBench times both sweeps from a cold characterization cache.
-// Delays are bit-identical between the two (DESIGN.md §11), so only
-// the wall-clocks are recorded.
-func runSweepBench(d *xtalksta.Design, aopts xtalksta.AnalysisOptions) (*sweepBenchResult, error) {
-	d.Calc.ClearCache()
-	t0 := time.Now()
-	if _, err := d.AnalyzeAllOpts(aopts); err != nil {
-		return nil, err
-	}
-	serial := time.Since(t0)
-	d.Calc.ClearCache()
-	t1 := time.Now()
-	if _, err := d.AnalyzeAllParallel(aopts); err != nil {
-		return nil, err
-	}
-	parallel := time.Since(t1)
-	return &sweepBenchResult{
-		SerialMs:   float64(serial) / 1e6,
-		ParallelMs: float64(parallel) / 1e6,
-		Ratio:      float64(parallel) / float64(serial),
-	}, nil
-}
-
 // histQuantiles returns the requested quantiles of one histogram
 // family, merged across its labeled series; ok is false when the
-// family is absent or empty (then no percentile block is emitted).
+// family is absent or empty (then the -v summary skips that line).
 func histQuantiles(reg *xtalksta.MetricsRegistry, name string, qs ...float64) ([]float64, bool) {
 	if reg == nil {
 		return nil, false
@@ -623,33 +560,6 @@ func printLatencySummary(w io.Writer, reg *xtalksta.MetricsRegistry) {
 	}
 }
 
-// latencyBlock is the percentile section of the -json summary, read
-// from the shared metrics registry (bucket-interpolated quantiles).
-type latencyBlock struct {
-	AnalysisP50Ms float64 `json:"analysis_p50_ms"`
-	AnalysisP90Ms float64 `json:"analysis_p90_ms"`
-	AnalysisP99Ms float64 `json:"analysis_p99_ms"`
-	ArcEvalP50Us  float64 `json:"arc_eval_p50_us"`
-	ArcEvalP99Us  float64 `json:"arc_eval_p99_us"`
-}
-
-func buildLatencyBlock(reg *xtalksta.MetricsRegistry) *latencyBlock {
-	aq, ok := histQuantiles(reg, obs.MAnalysisDuration, 0.50, 0.90, 0.99)
-	if !ok {
-		return nil
-	}
-	lb := &latencyBlock{
-		AnalysisP50Ms: aq[0] * 1e3,
-		AnalysisP90Ms: aq[1] * 1e3,
-		AnalysisP99Ms: aq[2] * 1e3,
-	}
-	if eq, ok := histQuantiles(reg, obs.MArcEvalDuration, 0.50, 0.99); ok {
-		lb.ArcEvalP50Us = eq[0] * 1e6
-		lb.ArcEvalP99Us = eq[1] * 1e6
-	}
-	return lb
-}
-
 // maxRSSBytes reads the process's peak resident set size. Getrusage
 // reports Maxrss in KiB on Linux; 0 means the platform gave nothing.
 func maxRSSBytes() int64 {
@@ -661,7 +571,7 @@ func maxRSSBytes() int64 {
 }
 
 // writeTableJSON emits the machine-readable all-modes summary (-json).
-func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table, workers int, sched xtalksta.Scheduler, scale, compileMs float64, sweep *sweepBenchResult, reg *xtalksta.MetricsRegistry) error {
+func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table, workers int, scale, compileMs float64) error {
 	type row struct {
 		Method      string  `json:"method"`
 		DelayNs     float64 `json:"delay_ns"`
@@ -669,7 +579,7 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 		Passes      int     `json:"passes"`
 		Evaluations int64   `json:"arc_evaluations"`
 		Tier0Evals  int64   `json:"tier0_evals"`
-		NewtonEvals int64   `json:"newton_evals"`
+		Simulations int64   `json:"simulations"`
 	}
 	out := struct {
 		Circuit string   `json:"circuit"`
@@ -681,21 +591,18 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 		// CompileMs is the design-build wall time (generate + place +
 		// route + extract); MaxRSSBytes the process's peak resident
 		// set at write time. Both are gated by benchdiff -mem-tol.
-		CompileMs   float64           `json:"compile_ms"`
-		MaxRSSBytes int64             `json:"max_rss_bytes"`
-		Rows        []row             `json:"rows"`
-		GoldenNs    float64           `json:"golden_ns,omitempty"`
-		Sweep       *sweepBenchResult `json:"sweep,omitempty"`
-		Latency     *latencyBlock     `json:"latency,omitempty"`
+		CompileMs   float64 `json:"compile_ms"`
+		MaxRSSBytes int64   `json:"max_rss_bytes"`
+		Rows        []row   `json:"rows"`
+		GoldenNs    float64 `json:"golden_ns,omitempty"`
 	}{Circuit: title, Cells: st.Cells, DFFs: st.DFFs, Nets: st.Nets,
-		Depth: st.LogicDepth, GoldenNs: table.GoldenNs, Sweep: sweep,
+		Depth: st.LogicDepth, GoldenNs: table.GoldenNs,
 		CompileMs: compileMs, MaxRSSBytes: maxRSSBytes(),
-		Latency: buildLatencyBlock(reg),
 		Env: benchEnv{
 			GoVersion:   runtime.Version(),
 			GOMAXPROCS:  runtime.GOMAXPROCS(0),
 			Workers:     workers,
-			Scheduler:   sched.String(),
+			Scheduler:   xtalksta.SchedDataflow.String(),
 			GitRevision: gitRevision(),
 			Scale:       scale,
 			Cells:       st.Cells,
@@ -708,7 +615,7 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 			Passes:      r.Passes,
 			Evaluations: r.Evaluations,
 			Tier0Evals:  r.Tier0Evals,
-			NewtonEvals: r.NewtonEvals,
+			Simulations: r.Simulations,
 		})
 	}
 	f, err := os.Create(path)
@@ -776,14 +683,4 @@ func parseMode(s string) (xtalksta.Mode, error) {
 		return xtalksta.Iterative, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q", s)
-}
-
-func parseSched(s string) (xtalksta.Scheduler, error) {
-	switch strings.ToLower(s) {
-	case "dataflow", "wavefront":
-		return xtalksta.SchedDataflow, nil
-	case "levels", "level":
-		return xtalksta.SchedLevels, nil
-	}
-	return 0, fmt.Errorf("unknown scheduler %q (want dataflow or levels)", s)
 }

@@ -46,29 +46,29 @@ func diffResults(want, got *AnalysisResult) string {
 	return ""
 }
 
-// TestAnalyzeAllParallelParity runs the five-mode sweep serially and
-// then concurrently on the same design: every mode's delays and final
-// timing state must be Float64bits-identical, the snapshot must be
-// compiled exactly once, and all ten analyses past the first must
-// reuse it.
-func TestAnalyzeAllParallelParity(t *testing.T) {
+// TestAnalyzeAllKeepCacheParity runs the five-mode sweep on a cold
+// cache per mode and then with KeepCache on the same design: every
+// mode's delays and final timing state must be Float64bits-identical,
+// the snapshot must be compiled exactly once, and all ten analyses
+// past the first must reuse it.
+func TestAnalyzeAllKeepCacheParity(t *testing.T) {
 	d, err := Generate(circuitgen.Params{Seed: 31, Cells: 140, DFFs: 10, Depth: 6, ClockFanout: 4}, Defaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := d.AnalyzeAllOpts(AnalysisOptions{})
+	cold, err := d.AnalyzeAll(AnalysisOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := d.AnalyzeAllParallel(AnalysisOptions{})
+	warm, err := d.AnalyzeAll(AnalysisOptions{KeepCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("result counts differ: %d vs %d", len(serial), len(parallel))
+	if len(cold) != len(warm) {
+		t.Fatalf("result counts differ: %d vs %d", len(cold), len(warm))
 	}
 	for i, m := range Modes() {
-		if diff := diffResults(serial[i], parallel[i]); diff != "" {
+		if diff := diffResults(cold[i], warm[i]); diff != "" {
 			t.Errorf("%s: %s", m, diff)
 		}
 	}
@@ -78,37 +78,6 @@ func TestAnalyzeAllParallelParity(t *testing.T) {
 	}
 	if reuses != 9 {
 		t.Errorf("snapshot reuses = %d, want 9 (ten analyses, one build)", reuses)
-	}
-}
-
-// TestAnalyzeCornersParallelParity compares the serial corner sweep
-// against the concurrent one: per-corner delays must be bit-identical
-// (each corner has its own calculator and snapshot; the sessions share
-// nothing mutable).
-func TestAnalyzeCornersParallelParity(t *testing.T) {
-	d, err := Generate(circuitgen.Params{Seed: 32, Cells: 120, DFFs: 10, Depth: 6, ClockFanout: 4}, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := AnalysisOptions{Mode: OneStep}
-	serial, err := d.AnalyzeCorners(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := d.AnalyzeCornersParallel(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("corner counts differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i].Corner != parallel[i].Corner {
-			t.Fatalf("corner order differs: %s vs %s", serial[i].Corner, parallel[i].Corner)
-		}
-		if diff := diffResults(serial[i].Result, parallel[i].Result); diff != "" {
-			t.Errorf("corner %s: %s", serial[i].Corner, diff)
-		}
 	}
 }
 

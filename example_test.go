@@ -35,7 +35,7 @@ func ExampleDesign_PaperTable() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	table, err := design.PaperTable("demo", false)
+	table, err := design.PaperTable("demo", false, xtalksta.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

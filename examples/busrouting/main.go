@@ -47,7 +47,7 @@ func main() {
 		if staggered {
 			title = "staggered 8-bit bus (delay chains separate the switching windows)"
 		}
-		table, err := d.PaperTable(title, false)
+		table, err := d.PaperTable(title, false, xtalksta.AnalysisOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

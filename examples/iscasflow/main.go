@@ -37,7 +37,7 @@ func main() {
 	fmt.Printf("die %.0f x %.0f µm, wirelength %.2f mm (max net %.0f µm)\n\n",
 		design.Layout.DieW*1e6, design.Layout.DieH*1e6, total*1e3, maxNet*1e6)
 
-	table, err := design.PaperTable(fmt.Sprintf("%s-like (scale %.2f)", *preset, *scale), true)
+	table, err := design.PaperTable(fmt.Sprintf("%s-like (scale %.2f)", *preset, *scale), true, xtalksta.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

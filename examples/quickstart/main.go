@@ -36,7 +36,7 @@ func main() {
 
 	// 2. Run the five analyses of the paper's evaluation and render the
 	//    table (Tables 1-3 format).
-	table, err := design.PaperTable("quickstart circuit", false)
+	table, err := design.PaperTable("quickstart circuit", false, xtalksta.AnalysisOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestCriticalPathWellFormed(t *testing.T) {
 
 func TestIterativeConverges(t *testing.T) {
 	c, calc := buildExtracted(t, 150, 12, 8, 103)
-	res := runMode(t, c, calc, Options{Mode: Iterative, MaxPasses: 10})
+	res := runMode(t, c, calc, Options{Mode: Iterative})
 	if res.Passes < 2 {
 		t.Errorf("iterative must run at least 2 passes, ran %d", res.Passes)
 	}

@@ -52,7 +52,8 @@ const (
 	SchedLevels
 )
 
-// String names the scheduler as accepted by the CLI's -sched flag.
+// String names the scheduler in metric labels, event records and bench
+// environments.
 func (s Scheduler) String() string {
 	switch s {
 	case SchedDataflow:

@@ -52,7 +52,7 @@ func TestRunLevelsAbortsOnError(t *testing.T) {
 // non-increasing longest-path bound across iterative refinements.
 func TestPassStatsRecorded(t *testing.T) {
 	c, calc := buildExtracted(t, 150, 12, 8, 711)
-	res := runMode(t, c, calc, Options{Mode: Iterative, MaxPasses: 10})
+	res := runMode(t, c, calc, Options{Mode: Iterative})
 	if len(res.PassStats) != res.Passes {
 		t.Fatalf("PassStats has %d entries, Result.Passes is %d", len(res.PassStats), res.Passes)
 	}

@@ -255,7 +255,7 @@ func (e *Engine) runPasses() ([]netState, int, error) {
 		delta := !e.opts.Esperance && !e.opts.DisableDeltaRefinement
 		var prevChanged []bool
 		var prevEc *ecoPass
-		for passes < e.opts.MaxPasses {
+		for passes < maxPasses {
 			var critical []bool
 			var ec *ecoPass
 			if delta {

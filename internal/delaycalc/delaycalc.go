@@ -78,53 +78,38 @@ type Result struct {
 type Options struct {
 	// DisableCache forces every request through a fresh simulation.
 	DisableCache bool
-	// SlewLoadBucket is the geometric bucket ratio for slew and load
-	// quantization (default 1.10, i.e. 10% buckets).
-	SlewLoadBucket float64
-	// CouplingBuckets is the number of linear buckets for the coupling
-	// ratio Cc/(Cc+Cgnd) (default 16).
-	CouplingBuckets int
-	// StepsPerRun sets the transient resolution: the step count of the
-	// fixed grid, and the baseline fine step (window/StepsPerRun) of the
-	// adaptive kernel (default 700).
-	StepsPerRun int
-	// LTETol is the adaptive kernel's local-truncation-error tolerance
-	// in volts per step (default 1 mV). Smaller is more accurate and
-	// slower; the fixed 700-step grid is the reference it converges to.
-	LTETol float64
 	// FixedGrid reverts stage simulation to the legacy fixed-grid
-	// integration with restart-on-extension (reference/ablation path).
+	// integration with restart-on-extension: the reference the
+	// adaptive-kernel tests and benchmarks compare against.
 	FixedGrid bool
-	// CacheShards is the number of lock stripes of the characterization
-	// cache, rounded up to a power of two (default 8). More shards cut
-	// lock contention between level-parallel workers.
-	CacheShards int
 	// Metrics, when set, receives cache-shard and integration-kernel
 	// instrumentation under the obs.M* names.
 	Metrics *obs.Registry
 }
 
-func (o Options) withDefaults() Options {
-	if o.SlewLoadBucket == 0 {
-		o.SlewLoadBucket = 1.10
-	}
-	if o.CouplingBuckets == 0 {
-		o.CouplingBuckets = 16
-	}
-	if o.StepsPerRun == 0 {
-		o.StepsPerRun = 700
-	}
-	if o.LTETol == 0 {
-		o.LTETol = 1e-3
-	}
-	if o.CacheShards == 0 {
-		o.CacheShards = 8
-	}
-	return o
-}
+// Quantization and integration constants. The tier-0 bands
+// (tier0_bands.go) were calibrated at these values; any other bucket
+// ratio or tolerance can fail the bracket audit and force all-Newton
+// reruns, so they are not options.
+const (
+	// slewLoadBucket is the geometric bucket ratio for slew and load
+	// quantization (10% buckets).
+	slewLoadBucket = 1.10
+	// stepsPerRun sets the transient resolution: the step count of the
+	// fixed grid, and the baseline fine step (window/stepsPerRun) of
+	// the adaptive kernel.
+	stepsPerRun = 700
+	// lteTol is the adaptive kernel's local-truncation-error tolerance
+	// in volts per step; the fixed 700-step grid is the reference it
+	// converges to.
+	lteTol = 1e-3
+	// cacheShards is the number of lock stripes of the characterization
+	// cache (a power of two, so a mask picks the stripe).
+	cacheShards = 8
+)
 
 // Calculator evaluates timing arcs. It is safe for concurrent use: the
-// characterization cache is lock-striped into power-of-two shards so
+// characterization cache is lock-striped into cacheShards shards so
 // level-parallel workers only contend when their requests hash to the
 // same stripe, and each shard preserves per-key single-flight (the
 // property that keeps the Simulations counter deterministic under any
@@ -135,8 +120,7 @@ type Calculator struct {
 	Model  coupling.Model
 	opts   Options
 
-	shards    []cacheShard
-	shardMask uint64
+	shards [cacheShards]cacheShard
 
 	// Work counters. Atomic (not mutex-guarded) so concurrent level
 	// workers never serialize on bookkeeping; read via Stats/Counters.
@@ -244,25 +228,18 @@ type flight struct {
 
 // New builds a calculator for the process behind lib.
 func New(lib *device.Library, sizing ccc.Sizing, model coupling.Model, opts Options) *Calculator {
-	opts = opts.withDefaults()
-	n := 1
-	for n < opts.CacheShards {
-		n <<= 1
-	}
 	c := &Calculator{
-		Lib:       lib,
-		Sizing:    sizing,
-		Model:     model,
-		opts:      opts,
-		shards:    make([]cacheShard, n),
-		shardMask: uint64(n - 1),
-		m:         newCalcMetrics(opts.Metrics),
+		Lib:    lib,
+		Sizing: sizing,
+		Model:  model,
+		opts:   opts,
+		m:      newCalcMetrics(opts.Metrics),
 	}
 	for i := range c.shards {
 		c.shards[i].cache = make(map[cacheKey]Result)
 		c.shards[i].inflight = make(map[cacheKey]*flight)
 	}
-	c.m.shards.Set(float64(n))
+	c.m.shards.Set(cacheShards)
 	return c
 }
 
@@ -285,7 +262,7 @@ func (c *Calculator) shardOf(k cacheKey) *cacheShard {
 	w2 := uint64(uint16(k.loadB)) | uint64(uint16(k.cplB))<<16 |
 		uint64(uint16(k.farB))<<32 | uint64(uint16(k.rwB))<<48
 	h := mix64(mix64(w1) ^ w2 ^ uint64(uint16(k.sizeB))<<13)
-	return &c.shards[h&c.shardMask]
+	return &c.shards[h&(cacheShards-1)]
 }
 
 // lock acquires a shard's mutex, counting the acquisitions that had to
@@ -338,9 +315,6 @@ func (c *Calculator) ClearCache() {
 	}
 }
 
-// CacheShards returns the number of lock stripes (a power of two).
-func (c *Calculator) CacheShards() int { return len(c.shards) }
-
 // CacheEntries returns the number of characterized results currently
 // held across all shards. The ECO flow reports it to show how much of
 // the warm characterization cache carries over between revisions.
@@ -370,7 +344,7 @@ type cacheKey struct {
 // zeroBucket marks an exactly-zero quantity in the cache key.
 const zeroBucket = int16(-32768)
 
-// geoBucket maps v onto a geometric grid with the configured ratio,
+// geoBucket maps v onto a geometric grid with the given ratio,
 // anchored at ref.
 func geoBucket(v, ref, ratio float64) int16 {
 	if v <= ref {
@@ -389,7 +363,7 @@ func (c *Calculator) quantize(r Request) (cacheKey, Request) {
 	const slewRef = 5e-12   // 5 ps
 	const loadRef = 0.5e-15 // 0.5 fF
 	const rRef = 1.0        // 1 Ω
-	ratio := c.opts.SlewLoadBucket
+	ratio := slewLoadBucket
 	bucketOrZero := func(v, ref float64) int16 {
 		if v <= 0 {
 			return zeroBucket
@@ -585,7 +559,7 @@ func (c *Calculator) simulate(r Request, info *Info) (Result, error) {
 }
 
 // simulateFixed is the legacy reference integration: a fixed
-// StepsPerRun-step grid, resimulated from t=0 with a 2.5× window
+// stepsPerRun-step grid, resimulated from t=0 with a 2.5× window
 // whenever the output fails to settle.
 func (c *Calculator) simulateFixed(r Request, st *ccc.Stage, ev coupling.Event, hasEvent bool,
 	window, tIn50, ctot float64, info *Info) (Result, error) {
@@ -613,7 +587,7 @@ func (c *Calculator) simulateFixed(r Request, st *ccc.Stage, ev coupling.Event, 
 		}
 		res, err := st.Ckt.Transient(spice.TranOptions{
 			TStop:    window,
-			DT:       window / float64(c.opts.StepsPerRun),
+			DT:       window / stepsPerRun,
 			InitialV: st.InitialV,
 			Probes:   []spice.NodeID{st.Far},
 			Events:   events,
@@ -662,8 +636,8 @@ func (c *Calculator) simulateAdaptive(r Request, st *ccc.Stage, ev coupling.Even
 		events = append(events, spev)
 	}
 	tn, err := st.Ckt.StartTransient(spice.TranOptions{
-		DT:       window / float64(c.opts.StepsPerRun),
-		LTETol:   c.opts.LTETol,
+		DT:       window / stepsPerRun,
+		LTETol:   lteTol,
 		InitialV: st.InitialV,
 		Probes:   []spice.NodeID{st.Far},
 		Events:   events,

@@ -38,7 +38,7 @@ func shardReqs() []Request {
 func TestShardedCacheRace16(t *testing.T) {
 	reqs := shardReqs()
 
-	seq := newCalc(t, Options{CacheShards: 8})
+	seq := newCalc(t, Options{})
 	for _, r := range reqs {
 		if _, err := seq.Eval(r); err != nil {
 			t.Fatal(err)
@@ -47,10 +47,7 @@ func TestShardedCacheRace16(t *testing.T) {
 	want := seq.Counters()
 
 	reg := obs.NewRegistry()
-	par := newCalc(t, Options{CacheShards: 8, Metrics: reg})
-	if got := par.CacheShards(); got != 8 {
-		t.Fatalf("CacheShards() = %d, want 8", got)
-	}
+	par := newCalc(t, Options{Metrics: reg})
 	const goroutines = 16
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -85,7 +82,7 @@ func TestShardedCacheRace16(t *testing.T) {
 
 	// Shard metrics sanity: every request is either a hit or a miss
 	// (single-flight waiters count as hits), and the shard-count gauge
-	// reflects the configuration. Hit/miss split is scheduling-
+	// reports the stripe count. Hit/miss split is scheduling-
 	// dependent, so only the sum is exact.
 	hits := reg.Counter(obs.MDelayCacheHits).Value()
 	misses := reg.Counter(obs.MDelayCacheMisses).Value()
@@ -95,29 +92,15 @@ func TestShardedCacheRace16(t *testing.T) {
 	if misses < int64(len(reqs)) {
 		t.Errorf("misses %d below distinct key count %d", misses, len(reqs))
 	}
-	if g := reg.Gauge(obs.MDelayCacheShards).Value(); g != 8 {
-		t.Errorf("shard gauge = %v, want 8", g)
-	}
-}
-
-// TestShardCountRounding: the shard count rounds up to a power of two
-// and defaults sensibly.
-func TestShardCountRounding(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 8}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
-	}
-	for _, tc := range cases {
-		c := newCalc(t, Options{CacheShards: tc.in})
-		if got := c.CacheShards(); got != tc.want {
-			t.Errorf("CacheShards %d → %d, want %d", tc.in, got, tc.want)
-		}
+	if g := reg.Gauge(obs.MDelayCacheShards).Value(); g != cacheShards {
+		t.Errorf("shard gauge = %v, want %d", g, cacheShards)
 	}
 }
 
 // TestShardedClearCache: ClearCache must clear every shard, so a
 // repeat of the same request set re-simulates every distinct key.
 func TestShardedClearCache(t *testing.T) {
-	c := newCalc(t, Options{CacheShards: 4})
+	c := newCalc(t, Options{})
 	for _, r := range shardReqs() {
 		if _, err := c.Eval(r); err != nil {
 			t.Fatal(err)

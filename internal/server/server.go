@@ -269,6 +269,26 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResp{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds every request body the daemon decodes.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it writes the error response (413 for an
+// oversized body, 400 otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+	} else {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 // shedStatus maps an admission error to its HTTP status.
 func shedStatus(err error) int {
 	if errors.Is(err, ErrQueueFull) {
@@ -332,8 +352,7 @@ func (s *Server) designInfo(e *designEntry) (designInfo, error) {
 // go through admission like any analysis.
 func (s *Server) handleLoadDesign(w http.ResponseWriter, r *http.Request) {
 	var req loadDesignReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
@@ -562,11 +581,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req analyzeReq
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
@@ -683,8 +699,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req editReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Edits) == 0 {

@@ -418,6 +418,24 @@ func TestEditInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestOversizedEditBody: a body past maxBodyBytes is refused with 413
+// before any edit lands, even when its leading edit batch is valid.
+func TestOversizedEditBody(t *testing.T) {
+	s, d := newTestServer(t, Config{})
+	h := s.Handler()
+	pairs := d.CoupledPairs(1)
+	code, body, _ := do(t, h, "POST", "/v1/designs/d1/edit", map[string]any{
+		"edits": []any{xtalksta.ScaleCoupling(pairs[0].A, pairs[0].B, 2.5)},
+		"pad":   strings.Repeat("x", maxBodyBytes),
+	})
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized edit: code %d body %s, want 413", code, body)
+	}
+	if rev := d.Revision(); rev != 0 {
+		t.Fatalf("oversized edit moved the design to revision %d", rev)
+	}
+}
+
 // TestServeShutdownNoLeak exercises the daemon lifecycle on a real
 // loopback listener: serve, drain, port released.
 func TestServeShutdownNoLeak(t *testing.T) {

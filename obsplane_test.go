@@ -141,7 +141,7 @@ func TestIntrospectionServerLive(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, err := d.Analyze(AnalysisOptions{Mode: Modes()[(g+i)%len(Modes())], Metrics: reg, KeepCache: true}); err != nil {
+				if _, err := d.Analyze(AnalysisOptions{Mode: Modes()[(g+i)%len(Modes())], Metrics: reg}); err != nil {
 					errs <- err
 					return
 				}
@@ -256,7 +256,7 @@ func TestAttributionExactAllModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range Modes() {
-		res, err := d.Analyze(AnalysisOptions{Mode: m, Attribution: true, KeepCache: true})
+		res, err := d.Analyze(AnalysisOptions{Mode: m, Attribution: true})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
