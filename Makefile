@@ -26,7 +26,7 @@ BENCH_TOL ?= 0.5
 # layout, so the tolerance only absorbs GC/runtime timing variance.
 BENCH_MEM_TOL ?= 25
 
-.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench bench-json bench-gate bench-ablation bench-100k clean
+.PHONY: all check ci fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check fuzz-short bench bench-json bench-gate bench-100k clean
 
 all: check
 
@@ -35,7 +35,7 @@ all: check
 check: vet build test race race-server
 
 # Everything CI runs, reproducible locally with one command.
-ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check bench-gate bench-ablation bench-100k
+ci: fmt-check vet staticcheck build test race race-server metrics-lint perfbench-check fuzz-short bench-gate bench-100k
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -89,6 +89,17 @@ metrics-lint:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Short fuzz leg: each input parser's fuzz target for a fixed 30 s,
+# starting from its seed corpus plus the crashers committed under
+# testdata/fuzz/. A crasher found here is fixed so the input returns
+# an error, and committed there as a regression seed. Minimizing each
+# new-coverage input is capped at 1 s: the seeds are whole extracted
+# files, and the default 60 s cap spends the leg minimizing instead of
+# fuzzing.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime=30s -fuzzminimizetime=1s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime=30s -fuzzminimizetime=1s ./internal/spef/
+
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
@@ -113,16 +124,6 @@ bench-gate:
 bench-100k:
 	$(GO) run ./cmd/xtalksta -preset synth100k -mode iterative >/dev/null
 
-# Tier-0 exactness ablation: run the preset all-Newton and with the
-# tiered dispatcher (the CLI default) and diff at zero tolerance.
-# encoding/json round-trips float64 exactly, so -tol 0 fails on a
-# single-ULP delay difference in any mode — the tiered evaluation is
-# a dispatch optimization, never a numeric change (DESIGN.md §14).
-bench-ablation:
-	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.02 -tier0=false -json BENCH_newton.json >/dev/null
-	$(GO) run ./cmd/xtalksta -preset s35932 -scale 0.02 -json BENCH_tier0.json >/dev/null
-	$(GO) run ./cmd/benchdiff -base BENCH_newton.json -new BENCH_tier0.json -tol 0
-
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_gate.json BENCH_newton.json BENCH_tier0.json
+	rm -f BENCH_gate.json

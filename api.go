@@ -793,7 +793,6 @@ func (d *Design) PaperTable(title string, withGolden bool, base AnalysisOptions)
 			Runtime:     r.Runtime,
 			Passes:      r.Passes,
 			Evaluations: r.ArcEvaluations,
-			Tier0Evals:  r.Tier0Hits,
 			Simulations: r.Simulations,
 		})
 		if r.Mode == Iterative {

@@ -105,6 +105,38 @@ func TestPaperTableWarmSimulations(t *testing.T) {
 	}
 }
 
+// TestTier0OptionIsInert: AnalysisOptions.Tier0 survives only so
+// existing callers compile. Setting it must not change any mode's
+// longest path, evaluation count or simulation count, and the tier-0
+// hit counter stays zero.
+func TestTier0OptionIsInert(t *testing.T) {
+	d, err := GeneratePreset(S35932, 0.01, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := d.AnalyzeAll(AnalysisOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	on, err := d.AnalyzeAll(AnalysisOptions{Tier0: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range off {
+		got := on[i]
+		if math.Float64bits(got.LongestPath) != math.Float64bits(want.LongestPath) {
+			t.Errorf("%s: longest path %.17g with Tier0, %.17g without", want.Mode, got.LongestPath, want.LongestPath)
+		}
+		if got.ArcEvaluations != want.ArcEvaluations || got.Simulations != want.Simulations {
+			t.Errorf("%s: evaluations/simulations %d/%d with Tier0, %d/%d without", want.Mode,
+				got.ArcEvaluations, got.Simulations, want.ArcEvaluations, want.Simulations)
+		}
+		if got.Tier0Hits != 0 {
+			t.Errorf("%s: Tier0Hits = %d, want 0", want.Mode, got.Tier0Hits)
+		}
+	}
+}
+
 func TestGenerateCustom(t *testing.T) {
 	d, err := Generate(circuitgen.Params{
 		Seed: 7, Cells: 150, DFFs: 12, Depth: 7, ClockFanout: 4,

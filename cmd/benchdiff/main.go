@@ -65,7 +65,6 @@ type benchFile struct {
 		RuntimeMs   float64 `json:"runtime_ms"`
 		Passes      int     `json:"passes"`
 		Evaluations int64   `json:"arc_evaluations"`
-		Tier0Evals  int64   `json:"tier0_evals"`
 		Simulations int64   `json:"simulations"`
 	} `json:"rows"`
 }
@@ -326,7 +325,7 @@ func main() {
 		fmt.Printf("%-22s %12.4f %12.4f %9.3f%s\n", r.Method, r.DelayNs, nd, drift, mark)
 	}
 	// Per-mode evaluation counts diff warn-only, like the wall-clock
-	// sections: tier-0 dispatch, cache reuse and feature flags move them
+	// sections: cache reuse and feature flags move them
 	// legitimately — the report explains work drift, the delay rows
 	// above gate correctness.
 	baseEvals := make(map[string]float64, len(base.Rows))

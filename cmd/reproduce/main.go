@@ -27,7 +27,6 @@ func main() {
 	var (
 		scale  = flag.Float64("scale", 1, "circuit size scale in (0,1]; 1 (the default) = the paper's cell counts (17.9k/23.9k/20.8k cells)")
 		golden = flag.Bool("golden", true, "run the golden path validation per table")
-		tier0  = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results)")
 
 		keepCache = flag.Bool("keep-cache", false, "keep the characterization cache warm across each table's five analyses instead of clearing it before each (delays identical; runtimes are no longer standalone)")
 		corners   = flag.Bool("corners", false, "append a process-corner sweep of Table 1's circuit")
@@ -64,7 +63,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "introspection plane listening on http://%s\n", srv.Addr())
 	}
-	aopts := xtalksta.AnalysisOptions{Metrics: reg, Events: events, Tier0: *tier0, KeepCache: *keepCache}
+	aopts := xtalksta.AnalysisOptions{Metrics: reg, Events: events, KeepCache: *keepCache}
 
 	bopts := xtalksta.Defaults()
 	bopts.Layout.Metrics = reg

@@ -95,14 +95,13 @@ func run() error {
 		ecoVerify = flag.Bool("eco-verify", false, "cross-check every incremental result against a from-scratch run")
 
 		keepCache = flag.Bool("keep-cache", false, "table mode: keep the characterization cache warm across the five analyses instead of clearing it before each (delays identical; runtimes are no longer standalone)")
-		tier0     = flag.Bool("tier0", true, "tiered delay evaluation: analytic bounds skip provably non-critical exact evaluations (bit-identical results; ignored under -esperance/windows)")
 
 		workers     = flag.Int("workers", 0, "worker goroutines per BFS sweep (0/1 = sequential)")
 		metricsPath = flag.String("metrics", "", "write the metrics registry as JSON to this file")
 		tracePath   = flag.String("trace", "", "write a Chrome trace_event profile to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		verbose     = flag.Bool("v", false, "print per-pass progress and a latency-percentile summary to stderr")
+		verbose     = flag.Bool("v", false, "print per-pass progress to stderr")
 		jsonPath    = flag.String("json", "", "write the all-modes result summary as JSON to this file (table mode only)")
 
 		serveObs  = flag.String("serve-obs", "", "serve the live introspection plane (/metrics, /debug/pprof/*, /debug/obs/*) on this address, e.g. :9090 or 127.0.0.1:0")
@@ -127,10 +126,9 @@ func run() error {
 	// Telemetry plumbing: one registry and one trace buffer shared by
 	// layout, engine and golden simulation; flushed to disk on the way
 	// out whatever happened in between. The registry also backs the
-	// -serve-obs endpoints and the -v latency summary, so either implies
-	// one.
+	// -serve-obs endpoints, so that flag implies one.
 	var reg *xtalksta.MetricsRegistry
-	if *metricsPath != "" || *serveObs != "" || *verbose {
+	if *metricsPath != "" || *serveObs != "" {
 		reg = xtalksta.NewMetricsRegistry()
 	}
 	var chrome *xtalksta.ChromeTrace
@@ -140,9 +138,6 @@ func run() error {
 		tracer = xtalksta.NewTracer(chrome)
 	}
 	defer func() {
-		if *verbose && reg != nil {
-			printLatencySummary(os.Stderr, reg)
-		}
 		if reg != nil && *metricsPath != "" {
 			if err := writeFileWith(*metricsPath, reg.WriteJSON); err != nil {
 				fmt.Fprintln(os.Stderr, "xtalksta: writing metrics:", err)
@@ -217,7 +212,6 @@ func run() error {
 	aopts := xtalksta.AnalysisOptions{
 		Esperance:       *esperance,
 		Workers:         *workers,
-		Tier0:           *tier0,
 		KeepCache:       *keepCache,
 		Metrics:         reg,
 		Trace:           tracer,
@@ -523,43 +517,6 @@ func gitRevision() string {
 	return "unknown"
 }
 
-// histQuantiles returns the requested quantiles of one histogram
-// family, merged across its labeled series; ok is false when the
-// family is absent or empty (then the -v summary skips that line).
-func histQuantiles(reg *xtalksta.MetricsRegistry, name string, qs ...float64) ([]float64, bool) {
-	if reg == nil {
-		return nil, false
-	}
-	for _, fam := range reg.Gather() {
-		if fam.Name != name || fam.Kind != "histogram" {
-			continue
-		}
-		d := fam.Merged()
-		if d.Count == 0 {
-			return nil, false
-		}
-		out := make([]float64, len(qs))
-		for i, q := range qs {
-			out[i] = d.Quantile(q)
-		}
-		return out, true
-	}
-	return nil, false
-}
-
-// printLatencySummary prints the session's latency percentiles (-v):
-// whole-analysis wall time and per-arc-evaluation time.
-func printLatencySummary(w io.Writer, reg *xtalksta.MetricsRegistry) {
-	if qs, ok := histQuantiles(reg, obs.MAnalysisDuration, 0.50, 0.90, 0.99); ok {
-		fmt.Fprintf(w, "latency: analysis p50 %.1f ms, p90 %.1f ms, p99 %.1f ms\n",
-			qs[0]*1e3, qs[1]*1e3, qs[2]*1e3)
-	}
-	if qs, ok := histQuantiles(reg, obs.MArcEvalDuration, 0.50, 0.99); ok {
-		fmt.Fprintf(w, "latency: arc eval p50 %.1f µs, p99 %.1f µs\n",
-			qs[0]*1e6, qs[1]*1e6)
-	}
-}
-
 // maxRSSBytes reads the process's peak resident set size. Getrusage
 // reports Maxrss in KiB on Linux; 0 means the platform gave nothing.
 func maxRSSBytes() int64 {
@@ -578,7 +535,6 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 		RuntimeMs   float64 `json:"runtime_ms"`
 		Passes      int     `json:"passes"`
 		Evaluations int64   `json:"arc_evaluations"`
-		Tier0Evals  int64   `json:"tier0_evals"`
 		Simulations int64   `json:"simulations"`
 	}
 	out := struct {
@@ -614,7 +570,6 @@ func writeTableJSON(path, title string, st netlist.Stats, table *xtalksta.Table,
 			RuntimeMs:   float64(r.Runtime) / 1e6,
 			Passes:      r.Passes,
 			Evaluations: r.Evaluations,
-			Tier0Evals:  r.Tier0Evals,
 			Simulations: r.Simulations,
 		})
 	}

@@ -122,21 +122,11 @@ type Options struct {
 	// exact — keyed on the unquantized input slew — so reuse never
 	// changes results, only skips redundant evaluator calls.
 	DisableBCSReuse bool
-	// Tier0 enables tiered delay evaluation (DESIGN.md §14): candidate
-	// arcs are bracketed analytically and dispatched to the exact
-	// Newton evaluator only when near-critical, dominance-unresolved or
-	// coupling-ambiguous. Results are bit-identical to the all-Newton
-	// run — every pruning rule is proof-carrying, evaluated arcs are
-	// audited against their brackets, and a violated bracket discards
-	// the run and recomputes all-Newton. Ignored (stays off) under
-	// Esperance and Windows, and with evaluators that cannot bound
-	// arcs.
-	Tier0 bool
-	// Tier0Margin is the relative margin of the tier-0 criticality
-	// gate (default 0.05): an arc whose bracketed arrival upper bound
-	// reaches within this fraction of the analytic longest-path
-	// frontier at its rank is always dispatched exactly. Policy, not
-	// correctness — exactness holds for any margin.
+	// Tier0 and Tier0Margin have no effect: the analytic pre-bracket
+	// tier they configured was retired and every arc now takes the one
+	// exact path (cache, then Newton). They stay only so existing
+	// callers compile, and go at the next benchmark change.
+	Tier0       bool
 	Tier0Margin float64
 	// KeepCache is the one cold/warm choice of the facade's five-mode
 	// sweep (AnalyzeAll, PaperTable): it keeps the shared
@@ -144,9 +134,9 @@ type Options struct {
 	// before each. The default (false) matches the paper's tables:
 	// every mode is timed standalone, re-characterizing from cold. A
 	// warm sweep reports bit-identical delays from fewer simulations
-	// (s35932 at scale 1: 148,267 instead of 276,917), but its per-mode
-	// runtimes are no longer standalone. The engine itself never clears
-	// the cache.
+	// (s35932 at scale 1, workers 2: 151,984 instead of 287,314), but
+	// its per-mode runtimes are no longer standalone. The engine itself
+	// never clears the cache.
 	KeepCache bool
 	// DisableReplay turns off the per-pass state capture that feeds
 	// Result.Replay (the seed for RunSeeded). Analyses that never feed
@@ -200,9 +190,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.AttributionTopK == 0 {
 		o.AttributionTopK = 10
-	}
-	if o.Tier0Margin == 0 {
-		o.Tier0Margin = 0.05
 	}
 	return o
 }
@@ -293,14 +280,10 @@ type Result struct {
 	// counts the subset that missed the characterization cache;
 	// CacheHits the subset served from it.
 	ArcEvaluations, Simulations, CacheHits int64
-	// Tier0Hits counts evaluator calls the tier-0 dispatcher avoided
-	// (dominance skips, elided best-case evaluations, memo reuses);
-	// Tier0Fallbacks the candidate arcs dispatched exactly because they
-	// were near-critical or unboundable; Tier0FlipGuards the coupling
-	// comparisons whose t_bcs bracket straddled a neighbor's quiescent
-	// time and forced the exact best-case evaluation. All zero with
-	// Options.Tier0 off.
-	Tier0Hits, Tier0Fallbacks, Tier0FlipGuards int64
+	// Tier0Hits and Tier0Fallbacks are always 0: the tier-0 dispatcher
+	// they counted was retired. They stay only so existing callers
+	// compile, and go at the next benchmark change.
+	Tier0Hits, Tier0Fallbacks int64
 	// WireDelayOnLongestPath sums the Elmore wire delays along the
 	// reported path (the §6 wire-vs-coupling comparison).
 	WireDelayOnLongestPath float64
@@ -340,9 +323,6 @@ type Engine struct {
 	// within a pass and passes are barrier-separated, so the slots need
 	// no locking (see parallel.go).
 	bcs [][]bcsEntry
-	// t0 is the tiered-dispatch state when Options.Tier0 is active for
-	// this analysis (see tier0.go); nil otherwise.
-	t0 *tier0Run
 	// statePool recycles per-pass []netState allocations across passes
 	// and runs (driver goroutine only; the final pass state handed to
 	// finish/Report is never pooled, and ReplayState copies are
@@ -428,11 +408,6 @@ func (e *Engine) Run() (*Result, error) {
 	// work.
 	res.ArcEvaluations, res.Simulations = e.Calc.Stats()
 	res.CacheHits = e.calcCounters().CacheHits
-	if e.t0 != nil {
-		res.Tier0Hits = e.t0.hits.Load()
-		res.Tier0Fallbacks = e.t0.fallbacks.Load()
-		res.Tier0FlipGuards = e.t0.flipGuards.Load()
-	}
 	if e.opts.Attribution {
 		attr, err := e.buildAttribution(st)
 		if err != nil {

@@ -248,11 +248,6 @@ func (e *Engine) RunSeeded(prev *ReplayState, seed []bool) (*Result, error) {
 	res.Runtime = time.Since(start)
 	res.ArcEvaluations, res.Simulations = e.Calc.Stats()
 	res.CacheHits = e.calcCounters().CacheHits
-	if e.t0 != nil {
-		res.Tier0Hits = e.t0.hits.Load()
-		res.Tier0Fallbacks = e.t0.fallbacks.Load()
-		res.Tier0FlipGuards = e.t0.flipGuards.Load()
-	}
 	if e.opts.Attribution {
 		attr, err := e.buildAttribution(st)
 		if err != nil {
@@ -328,21 +323,7 @@ func (e *Engine) seededState(prev *ReplayState, seed []bool, eco *ECOStats) ([]n
 	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
 	c0 := e.calcCounters()
 	span := e.trace.Begin("eco-analysis", 0).Arg("mode", e.opts.Mode.String())
-	if err := e.setupTier0(); err != nil {
-		return nil, 0, err
-	}
-	ecoCopy := *eco
 	st, passes, err := e.runPassesSeeded(prev, seed, eco)
-	if err == nil && e.t0 != nil && e.t0.taint.Load() {
-		// Violated tier-0 bracket: discard and recompute all-Newton,
-		// restoring the ECO accounting the tainted run accumulated.
-		e.putState(st)
-		e.passStats = nil
-		e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
-		e.t0 = nil
-		*eco = ecoCopy
-		st, passes, err = e.runPassesSeeded(prev, seed, eco)
-	}
 	span.Arg("passes", passes).
 		Arg("dirty_lines", eco.DirtyLines).
 		Arg("reused_lines", eco.ReusedLines).

@@ -23,9 +23,6 @@ type PassStat struct {
 	Simulations      int64
 	CacheHits        int64
 	NewtonIterations int64
-	// Tier0Hits counts evaluator calls the tier-0 dispatcher avoided in
-	// this pass (zero with Options.Tier0 off).
-	Tier0Hits int64
 	// RecalculatedWires counts nets whose arcs were actually
 	// re-evaluated (Esperance skips excluded).
 	RecalculatedWires int64
@@ -67,7 +64,6 @@ type engineMetrics struct {
 	arcEvals, sims, newtonIters, newtonFails               *obs.Counter
 	couplingActive, couplingGrounded, couplingWindowPruned *obs.Counter
 	ccZeroSkips, tbcsHits                                  *obs.Counter
-	tier0Hits, tier0Fallbacks, tier0FlipGuards             *obs.Counter
 	passes, recalcWires, esperanceSkips                    *obs.Counter
 	levels, parallelLevels, workerCells, seqCells          *obs.Counter
 	ecoDirty, ecoReused, ecoExpansions, ecoFallbacks       *obs.Counter
@@ -97,9 +93,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		couplingWindowPruned: r.Counter(obs.MCouplingWindowPruned),
 		ccZeroSkips:          r.Counter(obs.MCouplingZeroSkips),
 		tbcsHits:             r.Counter(obs.MTBCSReuseHits),
-		tier0Hits:            r.Counter(obs.MTier0Hits),
-		tier0Fallbacks:       r.Counter(obs.MTier0Fallbacks),
-		tier0FlipGuards:      r.Counter(obs.MTier0FlipGuards),
 		passes:               r.Counter(obs.MPasses),
 		recalcWires:          r.Counter(obs.MRecalcWires),
 		esperanceSkips:       r.Counter(obs.MEsperanceSkips),
@@ -148,12 +141,11 @@ func (e *Engine) calcCounters() delaycalc.Counters {
 // passHandle carries the start-of-pass snapshots between beginPass and
 // endPass.
 type passHandle struct {
-	pass   int
-	mode   Mode
-	start  time.Time
-	c0     delaycalc.Counters
-	t0Hits int64
-	span   *obs.Span
+	pass  int
+	mode  Mode
+	start time.Time
+	c0    delaycalc.Counters
+	span  *obs.Span
 }
 
 // beginPass opens the telemetry scope of one BFS sweep (driver
@@ -171,9 +163,6 @@ func (e *Engine) beginPass(pass int, mode Mode) *passHandle {
 		start: time.Now(),
 		c0:    e.calcCounters(),
 		span:  e.trace.Begin("pass", 0).Arg("pass", pass).Arg("mode", mode.String()),
-	}
-	if e.t0 != nil {
-		ph.t0Hits = e.t0.hits.Load()
 	}
 	return ph
 }
@@ -195,9 +184,6 @@ func (e *Engine) endPass(ph *passHandle, st []netState) float64 {
 		ConvergedSkips:    e.passConverged,
 		LongestPath:       longest,
 		Wall:              time.Since(ph.start),
-	}
-	if e.t0 != nil {
-		stat.Tier0Hits = e.t0.hits.Load() - ph.t0Hits
 	}
 	e.passStats = append(e.passStats, stat)
 	if !e.opts.DisableReplay {

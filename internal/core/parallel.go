@@ -115,17 +115,6 @@ func (e *Compiled) netCalculatedAt(neighbor netlist.NetID, outRank int) bool {
 // cells instead of draining the rest of the level.
 func (e *Engine) runLevels(phase string, levels [][]netlist.CellID, workers int,
 	do func(cell *netlist.Cell) error) error {
-	return e.runLevelsAfter(phase, levels, workers, do, nil)
-}
-
-// runLevelsAfter is runLevels with a per-level barrier callback: after
-// runs on the driver goroutine once every cell of the level has
-// finished, before the next level starts. The seeded (ECO) sweep uses
-// it to grow the dirty set from nets whose recomputed state diverged —
-// a level barrier is exactly the point where that state is frozen for
-// all higher-rank readers.
-func (e *Engine) runLevelsAfter(phase string, levels [][]netlist.CellID, workers int,
-	do func(cell *netlist.Cell) error, after func(level []netlist.CellID)) error {
 	for lv, level := range levels {
 		if len(level) == 0 {
 			continue
@@ -141,9 +130,6 @@ func (e *Engine) runLevelsAfter(phase string, levels [][]netlist.CellID, workers
 					span.Arg("error", true).End()
 					return err
 				}
-			}
-			if after != nil {
-				after(level)
 			}
 			span.End()
 			continue
@@ -187,9 +173,6 @@ func (e *Engine) runLevelsAfter(phase string, levels [][]netlist.CellID, workers
 				span.Arg("error", true).End()
 				return err
 			}
-		}
-		if after != nil {
-			after(level)
 		}
 		span.End()
 	}

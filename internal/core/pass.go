@@ -111,13 +111,6 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 		bestSlew := 0.0
 		bestPred := arcPred{}
 		quiet := math.Inf(-1)
-		// Gather the candidate pins first (in pin order — the argmax
-		// below is first-wins on ties), so the tier-0 gate can reason
-		// about the whole set before any arc is dispatched. Inputs are
-		// strictly lower-rank, so their state is frozen by the time
-		// this cell runs and gathering early reads the same values.
-		var cbuf [4]t0Cand
-		cands := cbuf[:0]
 		for pin, inNet := range cell.In {
 			is := &st[inNet-1]
 			if !is.calculated || math.IsInf(is.arrival[dIn], -1) {
@@ -134,34 +127,18 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 			if inSlew <= 0 {
 				inSlew = e.opts.PISlew
 			}
-			cands = append(cands, t0Cand{pin: pin, inNet: inNet, inArr: inArr, inSlew: inSlew})
-		}
-		if e.t0 != nil {
-			e.t0Gate(mode, cell, dOut, cands)
-		}
-		for i := range cands {
-			c := &cands[i]
-			if c.skip {
-				continue
-			}
-			var t0a *t0Cand
-			if c.bok {
-				t0a = c
-			}
-			res, err := e.evalArc(mode, st, quietPrev, cell, c.pin, dOut, c.inArr, c.inSlew, t0a)
+			res, err := e.evalArc(mode, st, quietPrev, cell, pin, dOut, inArr, inSlew)
 			if err != nil {
 				return err
 			}
-			if c.bok {
-				e.t0Audit(c, res)
-			}
-			arr := c.inArr + res.Delay
+			// Pin order with a strict comparison: the first pin wins ties.
+			arr := inArr + res.Delay
 			if arr > bestArr {
 				bestArr = arr
 				bestSlew = res.OutSlew
-				bestPred = arcPred{valid: true, cell: cell.ID, fromNet: c.inNet, fromDir: dIn}
+				bestPred = arcPred{valid: true, cell: cell.ID, fromNet: inNet, fromDir: dIn}
 			}
-			if done := c.inArr + res.Completion; done > quiet {
+			if done := inArr + res.Completion; done > quiet {
 				quiet = done
 			}
 		}
@@ -180,12 +157,8 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 }
 
 // evalArc computes one timing arc under the mode's coupling treatment.
-// t0a, when non-nil, carries the arc's tier-0 bracket (see tier0.go):
-// non-near-critical arcs may elide the best-case evaluation when the
-// t_bcs bracket proves every coupling decision, and all final requests
-// route through the cross-pass memo.
 func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
-	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64, t0a *t0Cand) (delaycalc.Result, error) {
+	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64) (delaycalc.Result, error) {
 
 	out := cell.Out
 	inf := &e.info[out-1]
@@ -214,92 +187,18 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 	switch mode {
 	case BestCase:
 		load(&req, inf.baseCap+inf.sumCc)
-		return e.t0Eval(cell, pin, dOut, req)
+		return e.Calc.Eval(req)
 	case StaticDoubled:
 		load(&req, inf.baseCap+2*inf.sumCc)
-		return e.t0Eval(cell, pin, dOut, req)
+		return e.Calc.Eval(req)
 	case WorstCase:
 		load(&req, inf.baseCap)
 		req.CCouple = inf.sumCc
-		return e.t0Eval(cell, pin, dOut, req)
+		return e.Calc.Eval(req)
 	case OneStep, Iterative:
 		if inf.sumCc == 0 {
 			load(&req, inf.baseCap)
-			return e.t0Eval(cell, pin, dOut, req)
-		}
-		// Tier-0 elision: the best-case evaluation below exists only to
-		// fix t_bcs for the coupling comparisons. If the t_bcs bracket
-		// [inArr+TTRlo, inArr+TTRhi] classifies every neighbor the same
-		// way on both ends, those decisions are proven without it and
-		// the final request is issued directly. Any neighbor whose
-		// quiescent time lands inside the bracket could flip — the flip
-		// guard — and forces the exact path. Windows mode is ruled out
-		// by setupTier0, so its pruning test never applies here.
-		if t0a != nil && !t0a.nearCrit {
-			skipBCS := true
-			if e.bcs != nil {
-				if slot := &e.bcs[out-1][pin*2+dOut]; slot.valid && slot.inSlew == inSlew {
-					skipBCS = false // the exact t_bcs is already free
-				}
-			}
-			if skipBCS {
-				tbcsLo, tbcsHi := inArr+t0a.b.ttrLo, inArr+t0a.b.ttrHi
-				dAgg := 1 - dOut
-				proven := true
-				ccActive := 0.0
-				nCouple, nGround := 0, 0
-				ccNbr, ccC := e.cc.Nbr, e.cc.C
-				for k := inf.ccLo; k < inf.ccHi; k++ {
-					other := ccNbr[k]
-					var calculated bool
-					var quietAt float64
-					if quietPrev != nil {
-						calculated = true
-						quietAt = quietPrev[other-1][dAgg]
-					} else {
-						calculated = e.netCalculatedAt(other, e.netRank[out])
-						if calculated {
-							quietAt = st[other-1].quiet[dAgg]
-						}
-					}
-					// ShouldCouple(calculated, quietAt, t) over the whole
-					// bracket: couples for every t iff uncalculated or
-					// quiet after the latest t_bcs; grounded for every t
-					// iff quiet before the earliest.
-					switch {
-					case !calculated || quietAt > tbcsHi:
-						ccActive += ccC[k]
-						nCouple++
-					case quietAt <= tbcsLo:
-						nGround++
-					default:
-						proven = false
-					}
-					if !proven {
-						break
-					}
-				}
-				switch {
-				case proven && ccActive > 0:
-					// Coupling metrics commit only here — the bail paths
-					// fall through to the exact classification, which
-					// counts them itself.
-					e.m.couplingActive.Add(int64(nCouple))
-					e.m.couplingGrounded.Add(int64(nGround))
-					e.t0.hits.Add(1) // the elided best-case evaluation
-					e.m.tier0Hits.Inc()
-					load(&req, inf.baseCap+(inf.sumCc-ccActive))
-					req.CCouple = ccActive
-					return e.t0Eval(cell, pin, dOut, req)
-				case proven:
-					// All neighbors grounded: the exact path's single
-					// best-case evaluation IS the result — nothing to
-					// elide, fall through.
-				default:
-					e.t0.flipGuards.Add(1)
-					e.m.tier0FlipGuards.Inc()
-				}
-			}
+			return e.Calc.Eval(req)
 		}
 		// Step 1 (§5.1): best-case waveform with all neighbors quiet
 		// fixes t_bcs — the earliest the victim could reach Vth. The
@@ -310,9 +209,6 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 		bcsRes, err := e.evalBCS(cell, pin, dOut, inSlew, bcs)
 		if err != nil {
 			return delaycalc.Result{}, err
-		}
-		if t0a != nil && (bcsRes.TimeToRestart < t0a.b.ttrLo || bcsRes.TimeToRestart > t0a.b.ttrHi) {
-			e.t0.taint.Store(true)
 		}
 		tBCS := inArr + bcsRes.TimeToRestart
 
@@ -378,7 +274,7 @@ func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
 		// Step 3: worst-case waveform with the active subset coupling.
 		load(&req, inf.baseCap+(inf.sumCc-ccActive))
 		req.CCouple = ccActive
-		return e.t0Eval(cell, pin, dOut, req)
+		return e.Calc.Eval(req)
 	}
 	return delaycalc.Result{}, fmt.Errorf("core: evalArc: unknown mode %d", int(mode))
 }

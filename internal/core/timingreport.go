@@ -161,21 +161,7 @@ func (e *Engine) finalState() ([]netState, int, error) {
 	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
 	c0 := e.calcCounters()
 	span := e.trace.Begin("analysis", 0).Arg("mode", e.opts.Mode.String())
-	if err := e.setupTier0(); err != nil {
-		return nil, 0, err
-	}
 	st, passes, err := e.runPasses()
-	if err == nil && e.t0 != nil && e.t0.taint.Load() {
-		// A tier-0 bracket violated its contract: the run's pruning can
-		// no longer be trusted. Discard everything and recompute
-		// all-Newton — bit parity is preserved even when calibration
-		// breaks.
-		e.putState(st)
-		e.passStats = nil
-		e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
-		e.t0 = nil
-		st, passes, err = e.runPasses()
-	}
 	span.Arg("passes", passes).End()
 	d := e.calcCounters().Sub(c0)
 	e.m.arcEvals.Add(d.Requests)

@@ -87,10 +87,9 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Quantization and integration constants. The tier-0 bands
-// (tier0_bands.go) were calibrated at these values; any other bucket
-// ratio or tolerance can fail the bracket audit and force all-Newton
-// reruns, so they are not options.
+// Quantization and integration constants. No caller ever set them to
+// other values, so they are not options; the parity fixture and the
+// bench baseline were recorded at these values.
 const (
 	// slewLoadBucket is the geometric bucket ratio for slew and load
 	// quantization (10% buckets).

@@ -62,4 +62,18 @@ func (c *Calculator) Proc() device.Process { return c.Lib.Proc }
 // Siz implements Evaluator.
 func (c *Calculator) Siz() ccc.Sizing { return c.Sizing }
 
+// Bounds, BoundsEvaluator and Tier0Bounds have no effect: the engine
+// no longer brackets arcs analytically, and Tier0Bounds always reports
+// bounds unavailable. They stay only so existing callers compile, and
+// go at the next benchmark change.
+type Bounds struct{}
+
+// BoundsEvaluator has no effect; see Bounds.
+type BoundsEvaluator interface {
+	Tier0Bounds(Request) (Bounds, bool)
+}
+
+// Tier0Bounds has no effect and always returns false; see Bounds.
+func (c *Calculator) Tier0Bounds(Request) (Bounds, bool) { return Bounds{}, false }
+
 var _ Evaluator = (*Calculator)(nil)

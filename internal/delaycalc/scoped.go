@@ -103,16 +103,6 @@ func (s *scoped) ClearCache() { s.inner.ClearCache() }
 func (s *scoped) Proc() device.Process { return s.inner.Proc() }
 func (s *scoped) Siz() ccc.Sizing      { return s.inner.Siz() }
 
-// Tier0Bounds forwards to the shared evaluator when it can bound arcs
-// analytically; otherwise every request reports bounds unavailable and
-// the engine's tier dispatcher degrades to all-Newton (still exact).
-func (s *scoped) Tier0Bounds(r Request) (Bounds, bool) {
-	if be, ok := s.inner.(BoundsEvaluator); ok {
-		return be.Tier0Bounds(r)
-	}
-	return Bounds{}, false
-}
-
 var (
 	_ Evaluator       = (*scoped)(nil)
 	_ CounterProvider = (*scoped)(nil)

@@ -21,7 +21,7 @@ import (
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	c := New(name)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	lineNo := 0
 	type rawCell struct {
 		line     int

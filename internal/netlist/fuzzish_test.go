@@ -32,6 +32,25 @@ func TestQuickParserNeverPanics(t *testing.T) {
 	}
 }
 
+// FuzzParseBench: no input may crash the .bench front end. Parsing
+// either returns a circuit or an error, never both nil, and a parsed
+// circuit either lowers or returns an error. `make fuzz-short` runs it
+// for a fixed 30 s; as a plain test it replays the seeds and the
+// crashers committed under testdata/fuzz/FuzzParseBench.
+func FuzzParseBench(f *testing.F) {
+	f.Add(S27Bench)
+	f.Add(Adder4Bench)
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseBench("fuzz", strings.NewReader(src))
+		if (c == nil) == (err == nil) {
+			t.Fatalf("ParseBench: circuit %v, error %v", c != nil, err)
+		}
+		if err == nil {
+			_ = Lower(c)
+		}
+	})
+}
+
 // TestQuickLowerPreservesRandomCircuits lowers randomly built small
 // combinational circuits and checks logical equivalence on random
 // vectors.

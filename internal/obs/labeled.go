@@ -228,30 +228,6 @@ type Family struct {
 	Series []Series `json:"series"`
 }
 
-// Merged sums a histogram family's series into one dump (all children
-// share the family's bucket grid), for family-level quantiles.
-func (f Family) Merged() HistogramDump {
-	var out HistogramDump
-	for _, s := range f.Series {
-		if s.Hist == nil {
-			continue
-		}
-		if out.Bounds == nil {
-			out.Bounds = append([]float64(nil), s.Hist.Bounds...)
-			out.Counts = make([]int64, len(s.Hist.Counts))
-		}
-		if len(s.Hist.Counts) != len(out.Counts) {
-			continue
-		}
-		for i, n := range s.Hist.Counts {
-			out.Counts[i] += n
-		}
-		out.Count += s.Hist.Count
-		out.Sum += s.Hist.Sum
-	}
-	return out
-}
-
 // Gather returns a point-in-time copy of every registered metric as
 // sorted families: by name, and within a family by label tuple. The
 // ordering is total and deterministic, so two identical registries

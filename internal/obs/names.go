@@ -35,17 +35,6 @@ const (
 	MCouplingZeroSkips = "coupling_zero_eval_skips_total"
 	MTBCSReuseHits     = "tbcs_reuse_hits_total"
 
-	// Tiered delay evaluation (DESIGN.md §14). Hits counts evaluator
-	// calls the tier-0 dispatcher avoided (dominance skips, elided
-	// best-case evaluations, memo reuses); Fallbacks the candidate arcs
-	// dispatched exactly because they were near-critical or
-	// unboundable; FlipGuards the coupling comparisons whose t_bcs
-	// bracket straddled a neighbor's quiescent time and forced the
-	// exact best-case evaluation.
-	MTier0Hits       = "tier0_hits_total"
-	MTier0Fallbacks  = "tier0_fallbacks_total"
-	MTier0FlipGuards = "tier0_flip_guards_total"
-
 	// Engine sweep structure. Levels/ParallelLevels/LevelCells are
 	// specific to the level-synchronized reference scheduler; the
 	// dataflow wavefront scheduler reports SchedReadyDepth (shared
@@ -173,7 +162,6 @@ func AllMetrics() []MetricDef {
 		c(MSimSteps), c(MSimStepRejections), c(MSimEarlyStops), c(MSimWindowExtensions),
 		c(MCouplingActive), c(MCouplingGrounded), c(MCouplingWindowPruned),
 		c(MCouplingZeroSkips), c(MTBCSReuseHits),
-		c(MTier0Hits), c(MTier0Fallbacks), c(MTier0FlipGuards),
 		c(MPasses), c(MRecalcWires), c(MEsperanceSkips),
 		c(MLevels), c(MParallelLevels), c(MWorkerCells), c(MSequentialCells),
 		g(MWorkers), h(MLevelCells), h(MSchedReadyDepth), c(MSchedSteals),

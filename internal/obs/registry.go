@@ -92,6 +92,48 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	return bounds, counts
 }
 
+// DurationBounds is the bucket grid for wall-clock duration histograms,
+// in seconds: a 1-2-5 progression from one microsecond to fifty
+// seconds, wide enough for sub-microsecond arc evaluations and
+// multi-second full-chip analyses alike.
+var DurationBounds = []float64{
+	1e-6, 2e-6, 5e-6,
+	1e-5, 2e-5, 5e-5,
+	1e-4, 2e-4, 5e-4,
+	1e-3, 2e-3, 5e-3,
+	1e-2, 2e-2, 5e-2,
+	1e-1, 2e-1, 5e-1,
+	1, 2, 5, 10, 20, 50,
+}
+
+// HistogramWith returns the histogram registered under name, creating
+// it with the given bucket bounds on first use (nil bounds = the
+// default 1-2-5 grid). An already-registered histogram keeps its
+// original bounds. On a nil registry it returns an unregistered
+// histogram.
+func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
+	if r == nil {
+		return NewHistogram(boundsOrDefault(bounds))
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.hists == nil {
+		r.hists = make(map[string]*Histogram)
+	}
+	h, ok := r.hists[name]
+	if !ok {
+		h = NewHistogram(boundsOrDefault(bounds))
+		r.hists[name] = h
+	}
+	return h
+}
+
+// Dump returns the histogram's point-in-time JSON form.
+func (h *Histogram) Dump() HistogramDump {
+	bounds, counts := h.Buckets()
+	return HistogramDump{Bounds: bounds, Counts: counts, Count: h.Count(), Sum: h.Sum()}
+}
+
 // defaultHistBounds is the bucket grid used for registry-created
 // histograms: 1-2-5 decades covering cell counts and microsecond-scale
 // durations alike.

@@ -19,10 +19,8 @@ type Row struct {
 	// Passes and Evaluations add reproduction detail beyond the paper.
 	Passes      int
 	Evaluations int64
-	// Tier0Evals counts evaluator calls the tiered dispatcher avoided
-	// (zero with tier-0 off), and Simulations the evaluations that
-	// missed the characterization cache and ran a stage simulation.
-	Tier0Evals  int64
+	// Simulations counts the evaluations that missed the
+	// characterization cache and ran a stage simulation.
 	Simulations int64
 }
 

@@ -25,6 +25,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,7 +78,7 @@ func Read(r io.Reader, c *netlist.Circuit) error {
 		cellByOutNet[c.Net(cell.Out).Name] = cell.ID
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var cur *netlist.Net
 	lineNo := 0
 	sawHeader := false
@@ -88,23 +89,53 @@ func Read(r io.Reader, c *netlist.Circuit) error {
 			continue
 		}
 		fields := strings.Fields(line)
+		// want checks a directive's field count; num parses one of its
+		// quantities, all of which are finite and non-negative.
+		want := func(n int, usage string) error {
+			if len(fields) != n {
+				return fmt.Errorf("spef: line %d: %s wants %s", lineNo, fields[0], usage)
+			}
+			return nil
+		}
+		num := func(field string) (float64, error) {
+			v, err := strconv.ParseFloat(field, 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return 0, fmt.Errorf("spef: line %d: %q is not a finite non-negative number", lineNo, field)
+			}
+			return v, nil
+		}
+		inNet := func() error {
+			if cur == nil {
+				return fmt.Errorf("spef: line %d: %s outside *D_NET", lineNo, fields[0])
+			}
+			return nil
+		}
 		switch fields[0] {
 		case "*SPEF":
+			if err := want(2, "<version>"); err != nil {
+				return err
+			}
 			sawHeader = true
 		case "*DESIGN":
-			// informational
+			// informational; the name may contain spaces
+			if len(fields) < 2 {
+				return fmt.Errorf("spef: line %d: *DESIGN wants <name>", lineNo)
+			}
 		case "*D_NET":
-			if len(fields) != 4 {
-				return fmt.Errorf("spef: line %d: *D_NET wants <net> <cwire> <rwire>", lineNo)
+			if err := want(4, "<net> <cwire_fF> <rwire_ohm>"); err != nil {
+				return err
 			}
 			n, ok := c.NetByName(fields[1])
 			if !ok {
 				return fmt.Errorf("spef: line %d: unknown net %q", lineNo, fields[1])
 			}
-			cw, err1 := strconv.ParseFloat(fields[2], 64)
-			rw, err2 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("spef: line %d: bad numbers", lineNo)
+			cw, err := num(fields[2])
+			if err != nil {
+				return err
+			}
+			rw, err := num(fields[3])
+			if err != nil {
+				return err
 			}
 			n.Par = netlist.Parasitics{
 				CWire:         cw * 1e-15,
@@ -113,48 +144,60 @@ func Read(r io.Reader, c *netlist.Circuit) error {
 			}
 			cur = n
 		case "*PIN":
-			if cur == nil {
-				return fmt.Errorf("spef: line %d: *PIN outside *D_NET", lineNo)
+			if err := inNet(); err != nil {
+				return err
 			}
-			if len(fields) != 4 {
-				return fmt.Errorf("spef: line %d: *PIN wants <cell> <pin> <elmore_ps>", lineNo)
+			if err := want(4, "<cell> <pin> <elmore_ps>"); err != nil {
+				return err
 			}
 			cid, ok := cellByOutNet[fields[1]]
 			if !ok {
 				return fmt.Errorf("spef: line %d: no cell drives net %q", lineNo, fields[1])
 			}
-			pin, err1 := strconv.Atoi(fields[2])
-			d, err2 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil {
-				return fmt.Errorf("spef: line %d: bad numbers", lineNo)
+			pin, err := strconv.Atoi(fields[2])
+			if err != nil || pin < 0 {
+				return fmt.Errorf("spef: line %d: bad pin index %q", lineNo, fields[2])
+			}
+			d, err := num(fields[3])
+			if err != nil {
+				return err
 			}
 			cur.Par.SinkWireDelay[netlist.PinRef{Cell: cid, Pin: pin}] = d * 1e-12
 		case "*PO":
-			if cur == nil {
-				return fmt.Errorf("spef: line %d: *PO outside *D_NET", lineNo)
+			if err := inNet(); err != nil {
+				return err
 			}
-			d, err := strconv.ParseFloat(fields[1], 64)
+			if err := want(2, "<elmore_ps>"); err != nil {
+				return err
+			}
+			d, err := num(fields[1])
 			if err != nil {
-				return fmt.Errorf("spef: line %d: bad number", lineNo)
+				return err
 			}
 			cur.Par.POWireDelay = d * 1e-12
 		case "*CC":
-			if cur == nil {
-				return fmt.Errorf("spef: line %d: *CC outside *D_NET", lineNo)
+			if err := inNet(); err != nil {
+				return err
 			}
-			if len(fields) != 3 {
-				return fmt.Errorf("spef: line %d: *CC wants <net> <cc_fF>", lineNo)
+			if err := want(3, "<net> <cc_fF>"); err != nil {
+				return err
 			}
 			other, ok := c.NetByName(fields[1])
 			if !ok {
 				return fmt.Errorf("spef: line %d: unknown coupled net %q", lineNo, fields[1])
 			}
-			cc, err := strconv.ParseFloat(fields[2], 64)
+			if other == cur {
+				return fmt.Errorf("spef: line %d: net %q couples to itself", lineNo, fields[1])
+			}
+			cc, err := num(fields[2])
 			if err != nil {
-				return fmt.Errorf("spef: line %d: bad number", lineNo)
+				return err
 			}
 			cur.Par.Couplings = append(cur.Par.Couplings, netlist.Coupling{Other: other.ID, C: cc * 1e-15})
 		case "*END":
+			if err := want(1, "no arguments"); err != nil {
+				return err
+			}
 			cur = nil
 		default:
 			return fmt.Errorf("spef: line %d: unknown directive %q", lineNo, fields[0])

@@ -2,6 +2,7 @@ package spef
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -136,4 +137,91 @@ func TestValidateSymmetryCatches(t *testing.T) {
 	if err := ValidateSymmetry(c); err != nil {
 		t.Errorf("symmetric coupling rejected: %v", err)
 	}
+}
+
+// TestReadRejectsMalformedDirectives: a directive with the wrong field
+// count, or a quantity that is negative or not finite, returns a
+// line-numbered error instead of panicking or storing the value.
+func TestReadRejectsMalformedDirectives(t *testing.T) {
+	c := cloneBare(t)
+	po := c.Net(c.POs[0]).Name
+	hdr := "*SPEF xtalksta-1\n"
+	cases := []struct{ name, src, line string }{
+		{"po without value", hdr + "*D_NET " + po + " 1 1\n*PO\n*END\n", "line 3"},
+		{"po extra field", hdr + "*D_NET " + po + " 1 1\n*PO 1 2\n*END\n", "line 3"},
+		{"nan cwire", hdr + "*D_NET N0 NaN 1\n*END\n", "line 2"},
+		{"negative rwire", hdr + "*D_NET N0 1 -5\n*END\n", "line 2"},
+		{"inf cwire", hdr + "*D_NET N0 +Inf 1\n*END\n", "line 2"},
+		{"negative elmore", hdr + "*D_NET N0 1 1\n*PIN N1 0 -1\n*END\n", "line 3"},
+		{"negative pin", hdr + "*D_NET N0 1 1\n*PIN N1 -1 1\n*END\n", "line 3"},
+		{"short pin", hdr + "*D_NET N0 1 1\n*PIN N1 0\n*END\n", "line 3"},
+		{"nan po", hdr + "*D_NET " + po + " 1 1\n*PO NaN\n*END\n", "line 3"},
+		{"negative cc", hdr + "*D_NET N0 1 1\n*CC N1 -2\n*END\n", "line 3"},
+		{"inf cc", hdr + "*D_NET N0 1 1\n*CC N1 Inf\n*END\n", "line 3"},
+		{"self coupling", hdr + "*D_NET N0 1 1\n*CC N0 2\n*END\n", "line 3"},
+		{"bare spef", "*SPEF\n*D_NET N0 1 1\n*END\n", "line 1"},
+		{"bare design", hdr + "*DESIGN\n", "line 2"},
+		{"end with args", hdr + "*D_NET N0 1 1\n*END N0\n", "line 3"},
+	}
+	for _, tc := range cases {
+		err := Read(strings.NewReader(tc.src), cloneBare(t))
+		if err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.line)
+		}
+	}
+}
+
+// extractedEmbedded lowers one of the embedded netlists and extracts
+// its parasitics, for SPEF seeds with every directive populated.
+func extractedEmbedded(tb testing.TB, c *netlist.Circuit) *netlist.Circuit {
+	tb.Helper()
+	if err := netlist.Lower(c); err != nil {
+		tb.Fatal(err)
+	}
+	p := device.Generic05um()
+	l, err := layout.Build(c, layout.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := l.Extract(p, ccc.PinCapFunc(c, p, ccc.DefaultSizing(p)), 30e-15); err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// FuzzRead: no input may crash the SPEF reader. Each input is read
+// onto a fresh lowered copy of S27 or Adder4 (the seeds are those
+// circuits' own extracted files); a file the reader accepts must also
+// write back out. `make fuzz-short` runs it for a fixed 30 s.
+func FuzzRead(f *testing.F) {
+	for _, adder := range []bool{false, true} {
+		c := netlist.S27()
+		if adder {
+			c = netlist.Adder4()
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, extractedEmbedded(f, c)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes(), adder)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, adder bool) {
+		c := netlist.S27()
+		if adder {
+			c = netlist.Adder4()
+		}
+		if err := netlist.Lower(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := Read(bytes.NewReader(data), c); err != nil {
+			return
+		}
+		if err := Write(io.Discard, c); err != nil {
+			t.Fatalf("Write after a successful Read: %v", err)
+		}
+	})
 }

@@ -99,8 +99,9 @@ func computeParityBits(t *testing.T) map[string]uint64 {
 }
 
 // TestRefactorParity locks the longest-path delay of every analysis
-// mode, both schedulers, tier-0 on/off, esperance/windows and
-// ECO-seeded re-analysis to the bit patterns recorded before the
+// mode, both schedulers, esperance/windows and ECO-seeded
+// re-analysis (the four tier0 keys run the one exact path now that
+// Options.Tier0 is inert) to the bit patterns recorded before the
 // SoA/CSR memory-layout refactor (testdata/parity_bits.json). Any
 // drift means the refactor changed numerics, not just layout.
 func TestRefactorParity(t *testing.T) {
