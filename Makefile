@@ -89,16 +89,19 @@ metrics-lint:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz leg: each input parser's fuzz target for a fixed 30 s,
-# starting from its seed corpus plus the crashers committed under
-# testdata/fuzz/. A crasher found here is fixed so the input returns
-# an error, and committed there as a regression seed. Minimizing each
+# Short fuzz leg: each input parser's fuzz target — the .bench and
+# SPEF readers and the ECO edit-batch JSON (parsed, then applied to a
+# small design) — for a fixed 30 s, starting from its seed corpus plus
+# the crashers committed under testdata/fuzz/. A crasher found here is
+# fixed so the input returns an error, and committed there as a
+# regression seed. Minimizing each
 # new-coverage input is capped at 1 s: the seeds are whole extracted
 # files, and the default 60 s cap spends the leg minimizing instead of
 # fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime=30s -fuzzminimizetime=1s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime=30s -fuzzminimizetime=1s ./internal/spef/
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyBatch$$' -fuzztime=30s -fuzzminimizetime=1s ./internal/incremental/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .

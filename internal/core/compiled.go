@@ -138,6 +138,23 @@ func (cd *Compiled) clockSinksOf(id netlist.NetID) []netlist.CellID {
 	return cd.clockSinkCells[cd.clockSinkOff[id-1]:cd.clockSinkOff[id]]
 }
 
+// fanoutLines calls mark for every line whose evaluation reads net id
+// as an input: the output of each combinational cell it feeds and of
+// each flip-flop it clocks (a launch reads the clock arrival; a DFF's
+// data pin reads nothing within a pass).
+func (cd *Compiled) fanoutLines(id netlist.NetID, mark func(netlist.NetID)) {
+	for _, pr := range cd.C.Net(id).Fanout {
+		if sink := cd.C.Cell(pr.Cell); sink.Kind != netlist.DFF && sink.Out != netlist.NoNet {
+			mark(sink.Out)
+		}
+	}
+	for _, cid := range cd.clockSinksOf(id) {
+		if out := cd.C.Cell(cid).Out; out != netlist.NoNet {
+			mark(out)
+		}
+	}
+}
+
 // Matches reports whether the snapshot's compile key covers the given
 // options, i.e. a session with these options may share the snapshot.
 // The CellSizes maps are compared exactly, per entry.

@@ -314,7 +314,6 @@ type Engine struct {
 	trace      *obs.Tracer
 	passStats  []PassStat
 	passRecalc atomic.Int64
-	passSkips  atomic.Int64
 	// earliestStart holds per-(net, dir) earliest transition-start
 	// bounds when Options.Windows is active (nil otherwise).
 	earliestStart [][2]float64
@@ -337,14 +336,15 @@ type Engine struct {
 	coneBuf   []bool
 	coneQueue []netlist.NetID
 	ecoPool   []*ecoPass
-	// passConverged is the delta-refinement carry-over count of the
-	// in-flight pass (driver goroutine only; harvested by endPass).
-	passConverged int64
+	// passSkips / passConverged are the Esperance and delta-refinement
+	// carry-over counts of the in-flight pass (driver goroutine only;
+	// harvested by endPass).
+	passSkips, passConverged int64
 	// Replay capture (eco.go): per-pass state copies and the raw
 	// min-pass outputs, reset per analysis, harvested by takeReplay.
 	replayPasses             [][]netState
 	replayEarly, replaySlews [][2]float64
-	// Final-pass evalArc context, captured by runPasses(Seeded) for the
+	// Final-pass evalArc context, captured by timedPass for the
 	// attribution rebuild: the quiescent-time snapshot the last executed
 	// sweep classified against (nil for first/single passes) and that
 	// sweep's mode (OneStep for the Iterative seed pass).
@@ -387,12 +387,39 @@ func (e *Engine) piSlewFor(net netlist.NetID) float64 {
 const layoutClockPin = netlist.ClockPinIndex
 
 // Run executes the configured analysis.
-func (e *Engine) Run() (*Result, error) {
+func (e *Engine) Run() (*Result, error) { return e.run(nil, nil) }
+
+// run executes the configured analysis from scratch (prev == nil) or
+// seeded from a stored revision's trajectory (RunSeeded, which has
+// validated prev and seed).
+func (e *Engine) run(prev *ReplayState, seed []bool) (*Result, error) {
 	start := time.Now()
 	e.Calc.ResetStats()
 	res := &Result{Mode: e.opts.Mode}
-
-	st, passes, err := e.finalState()
+	// base and eco are what the passes seed from and tally into: nil
+	// for a cold run and for a seeded run that falls back to one.
+	base, eco := prev, (*ECOStats)(nil)
+	var seedNets int64
+	if prev != nil {
+		res.ECO = &ECOStats{}
+		eco = res.ECO
+		for _, s := range seed {
+			if s {
+				seedNets++
+			}
+		}
+		seed = e.structuralCone(seed, eco)
+		if (e.opts.Mode == Iterative && e.opts.Esperance) || !e.seedableTopology() {
+			// Esperance's critical mask is a function of the global
+			// longest path, not of local dirty cones — a seeded run
+			// cannot reproduce which nets the full run would have
+			// skipped. Fall back.
+			res.ECO.FullFallback = true
+			e.m.ecoFallbacks.Inc()
+			base, eco = nil, nil
+		}
+	}
+	st, passes, err := e.finalState(base, seed, eco)
 	if err != nil {
 		return nil, err
 	}
@@ -400,6 +427,9 @@ func (e *Engine) Run() (*Result, error) {
 	res.PassStats = append([]PassStat(nil), e.passStats...)
 	e.finish(res, st)
 	res.Replay = e.takeReplay()
+	if res.Replay != nil && prev != nil {
+		res.Replay.rev = prev.rev
+	}
 
 	res.Runtime = time.Since(start)
 	// Snapshot the work counters before any attribution rebuild: the
@@ -415,7 +445,18 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		res.Attribution = attr
 	}
-	e.emitAnalysisEvent("analysis", res, nil)
+	if prev == nil {
+		e.emitAnalysisEvent("analysis", res, nil)
+		return res, nil
+	}
+	e.emitAnalysisEvent("eco", res, map[string]any{
+		"base_revision":   prev.rev,
+		"seed_nets":       seedNets,
+		"dirty_lines":     res.ECO.DirtyLines,
+		"reused_lines":    res.ECO.ReusedLines,
+		"cone_expansions": res.ECO.ConeExpansions,
+		"full_fallback":   res.ECO.FullFallback,
+	})
 	return res, nil
 }
 
@@ -485,8 +526,8 @@ func (e *Engine) getSeenBits() []bool {
 }
 
 // getEcoPass hands out a reset ecoPass from the session pool; the
-// dirty/changed arrays are cleared here so newEcoPass/newDeltaPass see
-// the same zero state a fresh allocation would give.
+// dirty/changed arrays are cleared here so the baseline constructors
+// see the same zero state a fresh allocation would give.
 func (e *Engine) getEcoPass() *ecoPass {
 	n := len(e.C.Nets)
 	if l := len(e.ecoPool); l > 0 {
@@ -498,6 +539,7 @@ func (e *Engine) getEcoPass() *ecoPass {
 		}
 		clear(ec.changed)
 		ec.orig = nil
+		ec.fixed = false
 		ec.pass1 = false
 		ec.expansions.Store(0)
 		ec.dirtyN.Store(0)

@@ -60,10 +60,11 @@ func (e *Engine) ReportHold(holdTime float64) (*HoldReport, error) {
 	if holdTime < 0 {
 		return nil, fmt.Errorf("core: hold time must be non-negative, got %g", holdTime)
 	}
-	early, err := e.minPass()
+	raw, slews, _, err := e.minPass(nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	early := startTimes(raw, slews)
 	rep := &HoldReport{HoldTime: holdTime}
 	for _, ep := range e.endpoints {
 		arr := math.Inf(1)

@@ -152,8 +152,7 @@ type passHandle struct {
 // goroutine only).
 func (e *Engine) beginPass(pass int, mode Mode) *passHandle {
 	e.passRecalc.Store(0)
-	e.passSkips.Store(0)
-	e.passConverged = 0
+	e.passSkips, e.passConverged = 0, 0
 	if e.opts.Observer != nil {
 		e.opts.Observer.PassStarted(pass, mode)
 	}
@@ -180,7 +179,7 @@ func (e *Engine) endPass(ph *passHandle, st []netState) float64 {
 		CacheHits:         d.CacheHits,
 		NewtonIterations:  d.NewtonIterations,
 		RecalculatedWires: e.passRecalc.Load(),
-		EsperanceSkips:    e.passSkips.Load(),
+		EsperanceSkips:    e.passSkips,
 		ConvergedSkips:    e.passConverged,
 		LongestPath:       longest,
 		Wall:              time.Since(ph.start),

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"xtalksta/internal/ccc"
@@ -10,8 +9,8 @@ import (
 	"xtalksta/internal/netlist"
 )
 
-// pass performs one full breadth-first timing sweep (§4/§5). The mode
-// fixes how coupling caps enter each arc's load:
+// passSeeded performs one breadth-first timing sweep (§4/§5) against a
+// baseline. The mode fixes how coupling caps enter each arc's load:
 //
 //   - quietPrev == nil: first pass (or single-pass modes). In OneStep,
 //     neighbors not yet calculated in this pass couple (worst case).
@@ -19,49 +18,100 @@ import (
 //     a stored quiescent time, so no uncalculated-wire assumption is
 //     needed (§5.2).
 //
-// critical (optional) limits recalculation to flagged nets (Esperance);
-// skipped nets carry their state over from prev so downstream cells
-// still see valid (conservative) arrivals.
-func (e *Engine) pass(mode Mode, quietPrev [][2]float64, critical []bool, prev []netState) ([]netState, error) {
+// ec names the baseline (see ecoPass). Without one every line is
+// computed from scratch. Otherwise clean lines carry the baseline state
+// and dirty lines are recomputed in place; unless the dirty set is fixed
+// (Esperance), a line whose recomputed state diverges from the baseline
+// grows the dirty set through its cell's done callback, which both
+// schedulers order before any dependent cell starts (see dataflow.go).
+func (e *Engine) passSeeded(mode Mode, quietPrev [][2]float64, ec *ecoPass) ([]netState, error) {
 	c := e.C
 	st := e.getState()
-	for i := range st {
-		if critical != nil && !critical[i] && prev != nil && prev[i].calculated {
-			st[i] = prev[i]
-			continue
+	if ec.orig != nil {
+		copy(st, ec.orig)
+		for i := range st {
+			if ec.dirty[i].Load() {
+				st[i] = freshNetState()
+			}
 		}
-		st[i] = freshNetState()
+	} else {
+		for i := range st {
+			st[i] = freshNetState()
+		}
 	}
+	track := ec.tracks()
 
 	// Seed primary inputs: both transitions can occur at t = 0 with the
-	// configured board-level slew.
+	// configured board-level slew. Reseeded unconditionally (cheap); a
+	// slew edit shows up as divergence and dirties the fan-out.
 	for _, pi := range c.PIs {
-		s := &st[pi-1]
 		slew := e.piSlewFor(pi)
+		var ns netState
 		for d := 0; d < 2; d++ {
-			s.arrival[d] = 0
-			s.slew[d] = slew
-			s.quiet[d] = slew / 2
+			ns.arrival[d] = 0
+			ns.slew[d] = slew
+			ns.quiet[d] = slew / 2
 		}
-		s.calculated = true
+		ns.calculated = true
+		st[pi-1] = ns
+		if track && !sameNetState(&ns, &ec.orig[pi-1]) {
+			ec.changed[pi-1] = true
+			e.ecoExpand(ec, pi)
+		}
+	}
+
+	doCell := func(cell *netlist.Cell) error {
+		out := cell.Out
+		if ec.clean(out) {
+			ec.reusedN.Add(1)
+			return nil
+		}
+		ec.dirtyN.Add(1)
+		if err := e.processCell(mode, st, quietPrev, cell); err != nil {
+			return err
+		}
+		if track && !sameNetState(&st[out-1], &ec.orig[out-1]) {
+			ec.changed[out-1] = true
+		}
+		return nil
+	}
+	// done grows the dirty set from a diverged output. Every mark
+	// targets a strictly higher-rank net (fanout sinks, pass-1 coupling
+	// victims) or a phase-separated DFF launch, so the marked cell has
+	// not started under either scheduler.
+	var done func(cid netlist.CellID)
+	if track {
+		done = func(cid netlist.CellID) {
+			out := c.Cell(cid).Out
+			if ec.changed[out-1] {
+				e.ecoExpand(ec, out)
+			}
+		}
 	}
 
 	// Phase 1: clock tree (cells whose output is a clock net), level
 	// by level. Clock nets behave like any other net for coupling
 	// purposes.
-	doCell := func(cell *netlist.Cell) error {
-		return e.processCell(mode, st, quietPrev, critical, cell)
-	}
-	if err := e.runPhase(phaseClock, doCell, nil); err != nil {
+	if err := e.runPhase(phaseClock, doCell, done); err != nil {
 		return nil, err
 	}
 
 	// Seed flip-flop outputs: launched by the rising clock edge at the
-	// flip-flop's clock-pin arrival plus clock-to-Q.
+	// flip-flop's clock-pin arrival plus clock-to-Q. A clean Q under a
+	// growing dirty set keeps its baseline state (its launch reads only
+	// the clock arrival, which did not diverge — otherwise clockSinks
+	// expansion would have dirtied it); Esperance re-applies every launch
+	// on top of the carried state.
 	for _, cell := range c.Cells {
 		if cell.Kind != netlist.DFF {
 			continue
 		}
+		out := cell.Out
+		if ec.clean(out) && !ec.fixed {
+			ec.reusedN.Add(1)
+			continue
+		}
+		ec.dirtyN.Add(1)
 		launch := ccc.DFFClkToQ()
 		if cell.Clock != netlist.NoNet {
 			cs := &st[cell.Clock-1]
@@ -69,7 +119,7 @@ func (e *Engine) pass(mode Mode, quietPrev [][2]float64, critical []bool, prev [
 				launch += cs.arrival[dirRise] + e.sink.ClockDelay[cell.ID]
 			}
 		}
-		s := &st[cell.Out-1]
+		s := &st[out-1]
 		for d := 0; d < 2; d++ {
 			if launch > s.arrival[d] {
 				s.arrival[d] = launch
@@ -79,10 +129,14 @@ func (e *Engine) pass(mode Mode, quietPrev [][2]float64, critical []bool, prev [
 			}
 		}
 		s.calculated = true
+		if track && !sameNetState(s, &ec.orig[out-1]) {
+			ec.changed[out-1] = true
+			e.ecoExpand(ec, out)
+		}
 	}
 
 	// Phase 2: combinational sweep.
-	if err := e.runPhase(phaseMain, doCell, nil); err != nil {
+	if err := e.runPhase(phaseMain, doCell, done); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -90,18 +144,10 @@ func (e *Engine) pass(mode Mode, quietPrev [][2]float64, critical []bool, prev [
 
 // processCell evaluates all timing arcs of one cell and updates its
 // output net's state.
-func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, critical []bool, cell *netlist.Cell) error {
+func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, cell *netlist.Cell) error {
 	out := cell.Out
 	s := &st[out-1]
 	inf := &e.info[out-1]
-
-	if critical != nil && !critical[out-1] {
-		// Esperance skip: the net keeps the previous pass's state
-		// (seeded in pass), which is a valid upper bound.
-		e.passSkips.Add(1)
-		e.m.esperanceSkips.Inc()
-		return nil
-	}
 	e.passRecalc.Add(1)
 	e.m.recalcWires.Inc()
 
@@ -156,127 +202,148 @@ func (e *Engine) processCell(mode Mode, st []netState, quietPrev [][2]float64, c
 	return nil
 }
 
-// evalArc computes one timing arc under the mode's coupling treatment.
-func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
-	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64) (delaycalc.Result, error) {
-
-	out := cell.Out
-	inf := &e.info[out-1]
-	req := delaycalc.Request{
+// arcRequest builds the delay request of one arc of cell (input pin,
+// output switching dOut) with the given grounded load and actively
+// coupling capacitance. The grounded load is split between the
+// request's near and far fields by the wire model. Lumped (paper):
+// everything in CLoad. π-model extension: half the wire cap stays at the
+// driver, the rest moves behind the wire resistance.
+func (e *Engine) arcRequest(cell *netlist.Cell, pin, dOut int, inSlew, grounded, cc float64) delaycalc.Request {
+	inf := &e.info[cell.Out-1]
+	r := delaycalc.Request{
 		Kind:     cell.Kind,
 		NIn:      len(cell.In),
 		Pin:      pin,
 		Dir:      dirOf(dOut),
 		InSlew:   inSlew,
 		SizeMult: inf.sizeMult,
+		CCouple:  cc,
 	}
-	// load splits a grounded load between the request's near and far
-	// fields. Lumped (paper): everything in CLoad. π-model extension:
-	// half the wire cap stays at the driver, the rest moves behind the
-	// wire resistance.
-	load := func(r *delaycalc.Request, grounded float64) {
-		if e.opts.PiModel && inf.rwire > 0 {
-			r.CLoad = inf.cwire / 2
-			r.CFar = grounded - inf.cwire/2
-			r.RWire = inf.rwire
-			return
-		}
+	if e.opts.PiModel && inf.rwire > 0 {
+		r.CLoad = inf.cwire / 2
+		r.CFar = grounded - inf.cwire/2
+		r.RWire = inf.rwire
+	} else {
 		r.CLoad = grounded
 	}
+	return r
+}
 
+// quietRequest is the arc's all-quiet request: every coupling cap
+// grounded at face value. It is the BestCase treatment and the §5.1
+// best-case waveform that fixes t_bcs.
+func (e *Engine) quietRequest(cell *netlist.Cell, pin, dOut int, inSlew float64) delaycalc.Request {
+	inf := &e.info[cell.Out-1]
+	return e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+inf.sumCc, 0)
+}
+
+// staticRequest is the arc's request under the fixed coupling
+// treatments of StaticDoubled (caps grounded at twice their value) and
+// WorstCase (every cap couples actively); any other mode gets the
+// all-quiet request.
+func (e *Engine) staticRequest(mode Mode, cell *netlist.Cell, pin, dOut int, inSlew float64) delaycalc.Request {
+	inf := &e.info[cell.Out-1]
 	switch mode {
-	case BestCase:
-		load(&req, inf.baseCap+inf.sumCc)
-		return e.Calc.Eval(req)
 	case StaticDoubled:
-		load(&req, inf.baseCap+2*inf.sumCc)
-		return e.Calc.Eval(req)
+		return e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+2*inf.sumCc, 0)
 	case WorstCase:
-		load(&req, inf.baseCap)
-		req.CCouple = inf.sumCc
-		return e.Calc.Eval(req)
-	case OneStep, Iterative:
-		if inf.sumCc == 0 {
-			load(&req, inf.baseCap)
-			return e.Calc.Eval(req)
-		}
-		// Step 1 (§5.1): best-case waveform with all neighbors quiet
-		// fixes t_bcs — the earliest the victim could reach Vth. The
-		// request depends only on (cell, pin, dir, inSlew), so refinement
-		// passes whose input slew is unchanged reuse the stored result.
-		bcs := req
-		load(&bcs, inf.baseCap+inf.sumCc)
-		bcsRes, err := e.evalBCS(cell, pin, dOut, inSlew, bcs)
-		if err != nil {
-			return delaycalc.Result{}, err
-		}
-		tBCS := inArr + bcsRes.TimeToRestart
-
-		// Step 2: classify each adjacent wire.
-		dAggressor := 1 - dOut // opposite transition couples
-		// Windows extension: the victim is only sensitive until its own
-		// previous-pass quiescent time.
-		victimQuiet := math.Inf(1)
-		if e.earliestStart != nil && quietPrev != nil {
-			if q := quietPrev[out-1][dOut]; !math.IsInf(q, -1) {
-				victimQuiet = q
-			}
-		}
-		ccActive := 0.0
-		ccNbr, ccC := e.cc.Nbr, e.cc.C
-		for k := inf.ccLo; k < inf.ccHi; k++ {
-			other := ccNbr[k]
-			var calculated bool
-			var quietAt float64
-			if quietPrev != nil {
-				calculated = true
-				quietAt = quietPrev[other-1][dAggressor]
-				if math.IsInf(quietAt, -1) {
-					// The neighbor never switches in that direction:
-					// it cannot couple.
-					calculated, quietAt = true, math.Inf(-1)
-				}
-			} else {
-				// Level-based rule (order-independent; see parallel.go):
-				// a neighbor is calculated when its driver's level is
-				// strictly below this cell's, so its state is frozen.
-				calculated = e.netCalculatedAt(other, e.netRank[out])
-				if calculated {
-					quietAt = st[other-1].quiet[dAggressor]
-				}
-			}
-			couples := coupling.ShouldCouple(calculated, quietAt, tBCS)
-			pruned := false
-			if couples && e.earliestStart != nil && quietPrev != nil {
-				// Windows extension: an aggressor that cannot become
-				// active before the victim is done cannot couple.
-				if e.earliestStart[other-1][dAggressor] >= victimQuiet {
-					couples, pruned = false, true
-				}
-			}
-			switch {
-			case couples:
-				ccActive += ccC[k]
-				e.m.couplingActive.Inc()
-			case pruned:
-				e.m.couplingWindowPruned.Inc()
-			default:
-				e.m.couplingGrounded.Inc()
-			}
-		}
-		if ccActive == 0 {
-			// Every neighbor is quiet: the worst-case request would carry
-			// the full coupling capacitance grounded — electrically the
-			// best-case request already computed. Skip the second Eval.
-			e.m.ccZeroSkips.Inc()
-			return bcsRes, nil
-		}
-		// Step 3: worst-case waveform with the active subset coupling.
-		load(&req, inf.baseCap+(inf.sumCc-ccActive))
-		req.CCouple = ccActive
-		return e.Calc.Eval(req)
+		return e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap, inf.sumCc)
 	}
-	return delaycalc.Result{}, fmt.Errorf("core: evalArc: unknown mode %d", int(mode))
+	return e.quietRequest(cell, pin, dOut, inSlew)
+}
+
+// evalArc computes one timing arc under the mode's coupling treatment.
+func (e *Engine) evalArc(mode Mode, st []netState, quietPrev [][2]float64,
+	cell *netlist.Cell, pin, dOut int, inArr, inSlew float64) (delaycalc.Result, error) {
+
+	inf := &e.info[cell.Out-1]
+	if (mode != OneStep && mode != Iterative) || inf.sumCc == 0 {
+		return e.Calc.Eval(e.staticRequest(mode, cell, pin, dOut, inSlew))
+	}
+	// Step 1 (§5.1): best-case waveform with all neighbors quiet fixes
+	// t_bcs — the earliest the victim could reach Vth. The request
+	// depends only on (cell, pin, dir, inSlew), so refinement passes
+	// whose input slew is unchanged reuse the stored result.
+	bcsRes, err := e.evalBCS(cell, pin, dOut, inSlew, e.quietRequest(cell, pin, dOut, inSlew))
+	if err != nil {
+		return delaycalc.Result{}, err
+	}
+	// Step 2: classify each adjacent wire.
+	ccActive, t := e.activeCoupling(st, quietPrev, cell.Out, dOut, inArr+bcsRes.TimeToRestart, nil)
+	e.m.couplingActive.Add(t.active)
+	e.m.couplingWindowPruned.Add(t.pruned)
+	e.m.couplingGrounded.Add(t.grounded)
+	if ccActive == 0 {
+		// Every neighbor is quiet: the worst-case request would carry
+		// the full coupling capacitance grounded — electrically the
+		// best-case request already computed. Skip the second Eval.
+		e.m.ccZeroSkips.Inc()
+		return bcsRes, nil
+	}
+	// Step 3: worst-case waveform with the active subset coupling.
+	return e.Calc.Eval(e.arcRequest(cell, pin, dOut, inSlew, inf.baseCap+(inf.sumCc-ccActive), ccActive))
+}
+
+// couplingTally counts one arc's neighbor verdicts.
+type couplingTally struct{ active, pruned, grounded int64 }
+
+// activeCoupling is the OneStep/Iterative coupling classifier: for an
+// arc of net out switching dOut whose best-case waveform reaches Vth at
+// tBCS, each coupled neighbor that can still switch opposite after tBCS
+// (or, in a first pass, is not yet calculated) couples actively. It
+// returns the active capacitance and the verdict tally; with aggs
+// non-nil the active neighbors are appended to it.
+func (e *Engine) activeCoupling(st []netState, quietPrev [][2]float64, out netlist.NetID, dOut int,
+	tBCS float64, aggs *[]AttributionAggressor) (float64, couplingTally) {
+
+	inf := &e.info[out-1]
+	dAggressor := 1 - dOut // opposite transition couples
+	// Windows extension: the victim is only sensitive until its own
+	// previous-pass quiescent time.
+	windows := e.earliestStart != nil && quietPrev != nil
+	victimQuiet := math.Inf(1)
+	if windows {
+		if q := quietPrev[out-1][dOut]; !math.IsInf(q, -1) {
+			victimQuiet = q
+		}
+	}
+	var t couplingTally
+	ccActive := 0.0
+	ccNbr, ccC := e.cc.Nbr, e.cc.C
+	for k := inf.ccLo; k < inf.ccHi; k++ {
+		other := ccNbr[k]
+		var calculated bool
+		var quietAt float64
+		if quietPrev != nil {
+			// Refinement pass: every neighbor has a stored quiescent
+			// time (−Inf when it never switches that way, so it cannot
+			// couple).
+			calculated, quietAt = true, quietPrev[other-1][dAggressor]
+		} else {
+			// Level-based rule (order-independent; see parallel.go):
+			// a neighbor is calculated when its driver's level is
+			// strictly below this cell's, so its state is frozen.
+			calculated = e.netCalculatedAt(other, e.netRank[out])
+			if calculated {
+				quietAt = st[other-1].quiet[dAggressor]
+			}
+		}
+		switch {
+		case !coupling.ShouldCouple(calculated, quietAt, tBCS):
+			t.grounded++
+		case windows && e.earliestStart[other-1][dAggressor] >= victimQuiet:
+			// Windows extension: an aggressor that cannot become
+			// active before the victim is done cannot couple.
+			t.pruned++
+		default:
+			ccActive += ccC[k]
+			t.active++
+			if aggs != nil {
+				*aggs = append(*aggs, AttributionAggressor{Net: e.C.Net(other).Name, C: ccC[k]})
+			}
+		}
+	}
+	return ccActive, t
 }
 
 // bcsEntry is one cached best-case arc result (see Engine.bcs).

@@ -103,7 +103,7 @@ func (e *Engine) Report(period float64) (*TimingReport, error) {
 	// reuse Run's loop by running it and then one more pass with the
 	// stored quiet times — cheap because the characterization cache is
 	// warm.
-	st, _, err := e.finalState()
+	st, _, err := e.finalState(nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -150,19 +150,30 @@ func (e *Engine) Report(period float64) (*TimingReport, error) {
 }
 
 // finalState produces the final-pass netState of the configured
-// analysis and the number of BFS passes it took — the single place that
-// implements the per-mode pass control (Run and Report both build on
-// it). It also owns the run-level telemetry scope: the analysis span,
-// the per-pass stats and the delay-calculator counter deltas pushed
-// into the metrics registry.
-func (e *Engine) finalState() ([]netState, int, error) {
+// analysis and the number of BFS passes it took — from scratch
+// (prev == nil) or seeded from a stored revision (see runPasses). Run,
+// RunSeeded, Report and PathTo all build on it. It also owns the
+// run-level telemetry scope: the analysis span ("eco-analysis" when
+// seeded), the per-pass stats and the delay-calculator counter deltas
+// pushed into the metrics registry.
+func (e *Engine) finalState(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
 	t0 := e.beginAnalysisTelemetry()
 	e.passStats = nil
 	e.replayPasses, e.replayEarly, e.replaySlews = nil, nil, nil
 	c0 := e.calcCounters()
-	span := e.trace.Begin("analysis", 0).Arg("mode", e.opts.Mode.String())
-	st, passes, err := e.runPasses()
-	span.Arg("passes", passes).End()
+	name := "analysis"
+	if prev != nil {
+		name = "eco-analysis"
+	}
+	span := e.trace.Begin(name, 0).Arg("mode", e.opts.Mode.String())
+	st, passes, err := e.runPasses(prev, seed, eco)
+	span.Arg("passes", passes)
+	if prev != nil {
+		span.Arg("dirty_lines", eco.DirtyLines).
+			Arg("reused_lines", eco.ReusedLines).
+			Arg("cone_expansions", eco.ConeExpansions)
+	}
+	span.End()
 	d := e.calcCounters().Sub(c0)
 	e.m.arcEvals.Add(d.Requests)
 	e.m.sims.Add(d.Simulations)
@@ -194,97 +205,142 @@ func (e *Engine) endAnalysisTelemetry(t0 time.Time) {
 	e.m.analyses.With(mode, corner, sched).Inc()
 }
 
-// runPasses implements the per-mode pass control.
-func (e *Engine) runPasses() ([]netState, int, error) {
-	switch e.opts.Mode {
-	case BestCase, StaticDoubled, WorstCase, OneStep:
-		e.finalQuietPrev, e.finalPassMode = nil, e.opts.Mode
-		ph := e.beginPass(1, e.opts.Mode)
-		st, err := e.pass(e.opts.Mode, nil, nil, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		e.endPass(ph, st)
-		return st, 1, nil
-	case Iterative:
-		if e.opts.Windows {
-			sp := e.trace.Begin("min-pass", 0)
-			early, slews, err := e.minPassRaw()
-			sp.End()
-			if err != nil {
-				return nil, 0, err
-			}
-			if !e.opts.DisableReplay {
-				e.replayEarly, e.replaySlews = early, slews
-			}
-			e.earliestStart = startTimes(early, slews)
-		} else {
-			e.earliestStart = nil
-		}
-		e.finalQuietPrev, e.finalPassMode = nil, OneStep
-		ph := e.beginPass(1, OneStep)
-		st, err := e.pass(OneStep, nil, nil, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		delay := e.endPass(ph, st)
-		passes := 1
-		// Delta-convergent refinement: pass k+1 recomputes only the
-		// frontier whose evalArc inputs can differ from pass k — the
-		// coupled victims of pass-k changes (they re-read quiescent
-		// times through quietPrev) plus, under Windows, the changed nets
-		// themselves (own sensitivity bound), grown in-pass by the
-		// fanout of anything that diverges. Pass 2 recomputes fully: the
-		// classifier switches from the one-step rule to stored quiescent
-		// times. Esperance carries its own (approximate) skip rule and
-		// is exact relative to itself only without delta carry-over.
-		delta := !e.opts.Esperance && !e.opts.DisableDeltaRefinement
-		var prevChanged []bool
-		var prevEc *ecoPass
-		for passes < maxPasses {
-			var critical []bool
-			var ec *ecoPass
-			if delta {
-				ec = e.newDeltaPass(st, prevChanged)
-				if prevEc != nil {
-					e.putEcoPass(prevEc)
-					prevEc = nil
-				}
-			} else if e.opts.Esperance {
-				critical = e.criticalNets(st, delay)
-			}
-			qp := snapshotQuiet(st)
-			e.finalQuietPrev, e.finalPassMode = qp, Iterative
-			ph := e.beginPass(passes+1, Iterative)
-			var st2 []netState
-			var err error
-			if ec != nil {
-				st2, err = e.passSeeded(Iterative, qp, ec)
-			} else {
-				st2, err = e.pass(Iterative, qp, critical, st)
-			}
-			if err != nil {
-				return nil, 0, err
-			}
-			passes++
-			if ec != nil {
-				e.passConverged = ec.reusedN.Load()
-				e.m.convergedSkips.Add(e.passConverged)
-				prevChanged = ec.changed
-				prevEc = ec
-			}
-			newDelay := e.endPass(ph, st2)
-			e.putState(st)
-			st = st2
-			if newDelay >= delay-1e-12 {
-				break
-			}
-			delay = newDelay
-		}
-		if prevEc != nil {
-			e.putEcoPass(prevEc)
-		}
-		return st, passes, nil
+// runPasses implements the per-mode pass control. Every sweep runs
+// against a baseline (see ecoPass): pass 1 against the stored
+// revision's first pass when seeded (prev, with the edit seeds; its
+// work is tallied into eco), else against none; each Iterative
+// refinement against the stored revision's matching pass, or else
+// against the run's own previous pass — Esperance carries the
+// non-critical nets over, delta refinement recomputes only the frontier
+// whose evalArc inputs can differ (DisableDeltaRefinement recomputes
+// everything instead). Seeded and cold runs share the stop rule, which
+// sees the same states and therefore the same longest-path trajectory.
+func (e *Engine) runPasses(prev *ReplayState, seed []bool, eco *ECOStats) ([]netState, int, error) {
+	mode := e.opts.Mode
+	if mode < BestCase || mode > Iterative {
+		return nil, 0, fmt.Errorf("core: unknown mode %d", int(mode))
 	}
-	return nil, 0, fmt.Errorf("core: finalState: unknown mode %d", int(e.opts.Mode))
+	e.earliestStart = nil
+	var earlyVictims []netlist.NetID
+	if mode == Iterative && e.opts.Windows {
+		var err error
+		if earlyVictims, err = e.windowBounds(prev, seed, eco); err != nil {
+			return nil, 0, err
+		}
+	}
+	firstMode := mode
+	if mode == Iterative {
+		firstMode = OneStep
+	}
+	ec := e.newEcoPass(prev, 0, seed)
+	st, delay, err := e.timedPass(1, firstMode, nil, ec, eco)
+	if err != nil {
+		return nil, 0, err
+	}
+	passes := 1
+	for mode == Iterative && passes < maxPasses {
+		var next *ecoPass
+		switch {
+		case prev != nil:
+			next = e.newEcoPass(prev, passes, seed)
+			e.seedRefinementDirty(next, ec.changed, earlyVictims)
+		case e.opts.Esperance:
+			next = e.newCarryPass(st, e.criticalNets(st, delay))
+		case e.opts.DisableDeltaRefinement:
+			next = &ecoPass{}
+		default:
+			next = e.newDeltaPass(st, ec)
+		}
+		e.putEcoPass(ec)
+		ec = next
+		st2, newDelay, err := e.timedPass(passes+1, Iterative, snapshotQuiet(st), ec, eco)
+		if err != nil {
+			return nil, 0, err
+		}
+		passes++
+		e.putState(st)
+		st = st2
+		if newDelay >= delay-1e-12 {
+			break
+		}
+		delay = newDelay
+	}
+	e.putEcoPass(ec)
+	return st, passes, nil
+}
+
+// timedPass runs BFS pass n (1-based) inside its telemetry scope,
+// books the lines it carried over from its baseline — as ECO reuse when
+// seeded from a stored revision (eco != nil), else as Esperance skips
+// or delta-refinement convergence — and returns the state with its
+// longest-path bound.
+func (e *Engine) timedPass(n int, mode Mode, quietPrev [][2]float64, ec *ecoPass, eco *ECOStats) ([]netState, float64, error) {
+	e.finalQuietPrev, e.finalPassMode = quietPrev, mode
+	ph := e.beginPass(n, mode)
+	st, err := e.passSeeded(mode, quietPrev, ec)
+	if err != nil {
+		return nil, 0, err
+	}
+	carried := ec.reusedN.Load()
+	switch {
+	case eco != nil:
+		e.accumulateECO(ec, eco)
+	case ec.fixed:
+		e.passSkips = carried
+		e.m.esperanceSkips.Add(carried)
+	default:
+		e.passConverged = carried
+		e.m.convergedSkips.Add(carried)
+	}
+	return st, e.endPass(ph, st), nil
+}
+
+// windowBounds runs the min-pass of a Windows analysis — from scratch,
+// or seeded from a stored revision (prev) — and installs the
+// earliest-activity bounds. For a seeded run it returns the coupled
+// victims of the nets whose bound moved: a moved bound re-opens the
+// window pruning question for every such victim, in every refinement
+// pass.
+func (e *Engine) windowBounds(prev *ReplayState, seed []bool, eco *ECOStats) ([]netlist.NetID, error) {
+	name := "min-pass"
+	if prev != nil {
+		if prev.early == nil {
+			return nil, fmt.Errorf("core: RunSeeded: replay lacks min-pass data (captured without Windows?)")
+		}
+		name = "eco-min-pass"
+	}
+	sp := e.trace.Begin(name, 0)
+	early, slews, changed, err := e.minPass(prev, seed, eco)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if !e.opts.DisableReplay {
+		e.replayEarly, e.replaySlews = early, slews
+	}
+	e.earliestStart = startTimes(early, slews)
+	if prev == nil {
+		return nil, nil
+	}
+	// The dedup bitset is session scratch (ids are dense), cleared after
+	// use by walking the victims.
+	var victims []netlist.NetID
+	seen := e.getSeenBits()
+	for i, ch := range changed {
+		if !ch {
+			continue
+		}
+		lo, hi := e.cc.Span(netlist.NetID(i + 1))
+		for k := lo; k < hi; k++ {
+			other := e.cc.Nbr[k]
+			if !seen[other-1] {
+				seen[other-1] = true
+				victims = append(victims, other)
+			}
+		}
+	}
+	for _, v := range victims {
+		seen[v-1] = false
+	}
+	return victims, nil
 }

@@ -31,11 +31,12 @@ func TestMinPassEarliestBeforeLatest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := eng.minPass()
+	raw, slews, _, err := eng.minPass(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.pass(OneStep, nil, nil, nil)
+	early := startTimes(raw, slews)
+	st, err := eng.passSeeded(OneStep, nil, &ecoPass{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package incremental
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"xtalksta/internal/core"
@@ -114,19 +115,29 @@ func (ov *Overrides) MergeInto(opts *core.Options) {
 	}
 }
 
-// LoadBatches reads a JSON array of edit batches (the `-eco` replay
-// file format: [[edit, ...], [edit, ...], ...]).
+// LoadBatches reads a file of edit batches in the ParseBatches format
+// (the `-eco` replay file).
 func LoadBatches(path string) ([][]Edit, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	batches, err := ParseBatches(data)
+	if err != nil {
+		return nil, fmt.Errorf("incremental: %s: %w", path, err)
+	}
+	return batches, nil
+}
+
+// ParseBatches decodes a JSON array of edit batches
+// ([[edit, ...], [edit, ...], ...]); a single flat batch
+// ([edit, ...]) is accepted as a convenience.
+func ParseBatches(data []byte) ([][]Edit, error) {
 	var batches [][]Edit
 	if err := json.Unmarshal(data, &batches); err != nil {
-		// Accept a single flat batch as a convenience.
 		var one []Edit
 		if err2 := json.Unmarshal(data, &one); err2 != nil {
-			return nil, fmt.Errorf("incremental: %s: %w", path, err)
+			return nil, err
 		}
 		batches = [][]Edit{one}
 	}
@@ -226,6 +237,11 @@ func Apply(c *netlist.Circuit, ov *Overrides, edits []Edit, reg *obs.Registry, t
 
 func resolve(c *netlist.Circuit, ed Edit) (resolved, error) {
 	r := resolved{edit: ed, a: netlist.NoNet, b: netlist.NoNet, cell: netlist.NoCell}
+	// NaN and ±Inf slip past every range check below (NaN compares
+	// false), so reject them for every op up front.
+	if math.IsNaN(ed.Value) || math.IsInf(ed.Value, 0) {
+		return r, fmt.Errorf("value must be finite, got %g", ed.Value)
+	}
 	net := func(name, field string) (netlist.NetID, error) {
 		if name == "" {
 			return netlist.NoNet, fmt.Errorf("missing net name %q", field)
@@ -339,17 +355,27 @@ func removePair(c *netlist.Circuit, from, to netlist.NetID) int {
 func apply(c *netlist.Circuit, ov *Overrides, r resolved, seed func(...netlist.NetID)) error {
 	switch r.edit.Op {
 	case OpScaleCoupling, OpSetCoupling:
+		finite := true
 		mutate := func(cp *netlist.Coupling) {
+			v := r.edit.Value
 			if r.edit.Op == OpScaleCoupling {
-				cp.C *= r.edit.Value
-			} else {
-				cp.C = r.edit.Value
+				v = cp.C * r.edit.Value
 			}
+			// Repeated scaling can overflow; the caller's rollback
+			// restores every entry already written.
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				finite = false
+				return
+			}
+			cp.C = v
 		}
 		na := pairEntries(c, r.a, r.b, mutate)
 		nb := pairEntries(c, r.b, r.a, mutate)
 		if na == 0 || nb == 0 {
 			return fmt.Errorf("nets %q and %q are not coupled", r.edit.A, r.edit.B)
+		}
+		if !finite {
+			return fmt.Errorf("coupling cap between %q and %q would not be finite", r.edit.A, r.edit.B)
 		}
 		seed(r.a, r.b)
 	case OpAddCoupling:

@@ -1,6 +1,7 @@
 package incremental_test
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 )
 
 // build returns a small extracted design shared by the tests.
-func build(t *testing.T, seed int64) *xtalksta.Design {
+func build(t testing.TB, seed int64) *xtalksta.Design {
 	t.Helper()
 	d, err := xtalksta.Generate(circuitgen.Params{
 		Seed: seed, Cells: 150, DFFs: 12, Depth: 7, ClockFanout: 4,
@@ -26,7 +27,7 @@ func build(t *testing.T, seed int64) *xtalksta.Design {
 }
 
 // coupledPair finds a coupled pair with a cell-driven side.
-func coupledPair(t *testing.T, c *netlist.Circuit) (string, string) {
+func coupledPair(t testing.TB, c *netlist.Circuit) (string, string) {
 	t.Helper()
 	for _, nn := range c.Nets {
 		if nn.Driver != netlist.NoCell && len(nn.Par.Couplings) > 0 {
@@ -283,5 +284,72 @@ func TestRandomBatchAlwaysApplies(t *testing.T) {
 	}
 	if applied == 0 {
 		t.Fatal("no random edits generated")
+	}
+}
+
+// TestApplyRejectsNonFinite: NaN and ±Inf pass every sign check, so
+// each op must reject a non-finite value outright and leave the circuit
+// and overrides untouched.
+func TestApplyRejectsNonFinite(t *testing.T) {
+	d := build(t, 25)
+	c := d.Circuit
+	a, b := coupledPair(t, c)
+	pi := c.Net(c.PIs[0]).Name
+	var gate string
+	for _, cell := range c.Cells {
+		if cell.Kind != netlist.DFF && cell.Out != netlist.NoNet {
+			gate = cell.Name
+			break
+		}
+	}
+	ops := []incremental.Edit{
+		{Op: incremental.OpScaleCoupling, A: a, B: b},
+		{Op: incremental.OpSetCoupling, A: a, B: b},
+		{Op: incremental.OpAddCoupling, A: a, B: b},
+		{Op: incremental.OpRemoveCoupling, A: a, B: b},
+		{Op: incremental.OpDecoupleNet, A: a},
+		{Op: incremental.OpResizeCell, Cell: gate},
+		{Op: incremental.OpSetInputSlew, A: pi},
+	}
+	before := couplingState(c)
+	for _, ed := range ops {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ed.Value = v
+			var ov incremental.Overrides
+			if _, err := incremental.Apply(c, &ov, []incremental.Edit{ed}, nil, nil); err == nil {
+				t.Errorf("%s value %g: accepted", ed.Op, v)
+			} else if !strings.Contains(err.Error(), "finite") {
+				t.Errorf("%s value %g: error %q does not mention finiteness", ed.Op, v, err)
+			}
+			if !sameCouplings(before, couplingState(c)) || len(ov.CellSizes)+len(ov.PISlews) != 0 {
+				t.Fatalf("%s value %g: rejected edit changed the design", ed.Op, v)
+			}
+		}
+	}
+}
+
+// overflowBatch scales one pair twice by 1e308: each factor is finite,
+// but the product overflows any femtofarad cap to +Inf.
+func overflowBatch(a, b string) []incremental.Edit {
+	return []incremental.Edit{
+		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 1e308},
+		{Op: incremental.OpScaleCoupling, A: a, B: b, Value: 1e308},
+	}
+}
+
+// TestApplyRejectsCouplingOverflow: a batch whose repeated scaling
+// overflows a cap fails as a whole and rolls the first scale back.
+func TestApplyRejectsCouplingOverflow(t *testing.T) {
+	d := build(t, 26)
+	c := d.Circuit
+	a, b := coupledPair(t, c)
+	before := couplingState(c)
+	var ov incremental.Overrides
+	_, err := incremental.Apply(c, &ov, overflowBatch(a, b), nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "finite") {
+		t.Fatalf("overflowing batch: err = %v, want a finiteness error", err)
+	}
+	if !sameCouplings(before, couplingState(c)) {
+		t.Fatal("overflowing batch not rolled back")
 	}
 }

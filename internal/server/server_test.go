@@ -436,6 +436,26 @@ func TestOversizedEditBody(t *testing.T) {
 	}
 }
 
+// TestEditOverflowRejected: a batch whose repeated scaling would
+// overflow a coupling cap to +Inf is refused with 422 and leaves the
+// design at its revision (an infinite cap would silently lower the
+// WorstCase bound).
+func TestEditOverflowRejected(t *testing.T) {
+	s, d := newTestServer(t, Config{})
+	h := s.Handler()
+	pairs := d.CoupledPairs(1)
+	code, body, _ := do(t, h, "POST", "/v1/designs/d1/edit", map[string]any{"edits": []any{
+		xtalksta.ScaleCoupling(pairs[0].A, pairs[0].B, 1e308),
+		xtalksta.ScaleCoupling(pairs[0].A, pairs[0].B, 1e308),
+	}})
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("overflowing edit: code %d body %s, want 422", code, body)
+	}
+	if rev := d.Revision(); rev != 0 {
+		t.Fatalf("overflowing edit moved the design to revision %d", rev)
+	}
+}
+
 // TestServeShutdownNoLeak exercises the daemon lifecycle on a real
 // loopback listener: serve, drain, port released.
 func TestServeShutdownNoLeak(t *testing.T) {
